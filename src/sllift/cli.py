@@ -172,6 +172,9 @@ def _cmd_hard(args) -> int:
     except InvalidInput as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except SlliftError as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     results = _hard_results(instance)
     code = EXIT_OK
     if args.verify_oracle is not None:
@@ -299,17 +302,19 @@ def _sweep_lift_bounds(args, point_seed):
         yield {"q": q, "n": args.n, "samples": args.samples}, lambda q=q: point(q)
 
 
-_SWEEPS = {
-    "roots": _sweep_roots,
-    "counts": _sweep_counts,
-    "skewed": _sweep_skewed,
-    "diameter": _sweep_diameter,
-    "lift-bounds": _sweep_lift_bounds,
+_SWEEPS = {  # kind -> (runner, the range flag it needs)
+    "roots": (_sweep_roots, "q"),
+    "counts": (_sweep_counts, "T"),
+    "skewed": (_sweep_skewed, "T"),
+    "diameter": (_sweep_diameter, "q"),
+    "lift-bounds": (_sweep_lift_bounds, "q"),
 }
 
 
 def _cmd_sweep(args) -> int:
-    runner = _SWEEPS[args.kind]
+    runner, needed = _SWEEPS[args.kind]
+    if getattr(args, needed) is None:
+        raise _UsageError(f"sweep {args.kind} needs --{needed}")
     lines: list[str] = []
     all_records: list[dict] = []
     failures = 0
@@ -398,17 +403,10 @@ def main(argv=None) -> int:
     argv = _fuse_matrix_values(list(argv))
     try:
         args = parser.parse_args(argv)
-        needs = {
-            "roots": ("q",),
-            "counts": ("T",),
-            "skewed": ("T",),
-            "diameter": ("q",),
-            "lift-bounds": ("q",),
-        }
-        if getattr(args, "command", None) == "sweep":
-            for field in needs[args.kind]:
-                if getattr(args, field) is None:
-                    raise _UsageError(f"sweep {args.kind} needs --{field}")
+        try:
+            oracle.current_budget()
+        except InvalidInput as exc:
+            raise _UsageError(str(exc)) from None
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -3,30 +3,36 @@
 Counts, minimal-norm congruence lifts, and growth tables, all ground truth:
 partial scans raise rather than return wrong numbers.
 
-Enumeration contract: every entry is free except the last entry of the last
-row, which is solved from linearity of the determinant in that entry; when
-its cofactor vanishes the entry is enumerated directly over its admissible
-values.  Entries constrained mod q range over their residue ladders
-x_ij + qZ intersected with [-cap, cap].
+Enumeration contract: every entry is fixed except the last two of the last
+row.  With c the maximal minors of the first n - 1 rows, those two satisfy
+c_{n-1} v_{n-1} + c_n v_n = 1 - <head, c>, where head is the rest of the
+last row: a two-variable linear Diophantine equation, solved exactly on the
+two residue ladders.  Its solutions are none, one arithmetic progression, or
+the full grid when both cofactors vanish, always in ascending
+(v_{n-1}, v_n) order, so matrices come out in lexicographic row-major order.
+Entries constrained mod q range over their residue ladders x_ij + qZ
+intersected with [-cap, cap].
+
+Without a congruence (q = 0), counts use the symmetry gamma -> D gamma P,
+where P is a signed column permutation and D negates the last row when
+det P = -1.  It keeps det 1 and every row's cap, so only primitive, sorted,
+non-negative first rows are enumerated, each weighted by its orbit size.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import os
 from dataclasses import dataclass
-from itertools import product as _cartesian
-
-import numpy as np
+from itertools import accumulate, chain, combinations_with_replacement, product
 
 from . import intmat
 from .errors import BudgetExceeded, InvalidInput
 from .intmat import IntMatrix
+from .residue import ext_gcd
 
 DEFAULT_BUDGET = 10**9
-
-_NUMPY_CUTOVER = 20000
-_INT64_SAFE = 2**62
 
 
 def current_budget(override: int | None = None) -> int:
@@ -34,7 +40,12 @@ def current_budget(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get("SLLIFT_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env, 10)
+    except ValueError:
+        raise InvalidInput(f"SLLIFT_BUDGET must be a decimal integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -104,147 +115,134 @@ def _check_budget(spec: EnumSpec, budget: int | None) -> int:
     return limit
 
 
-def _minor_vector(rows):
-    """maximal_minors for raw row tuples."""
+def _cofactors(rows) -> tuple[int, ...]:
+    """c with det(rows + (v,)) = <v, c> for every last row v."""
+    if len(rows) == 1:
+        return (-rows[0][1], rows[0][0])
     return intmat.maximal_minors(IntMatrix(rows))
 
 
-def _np_usable(spec: EnumSpec) -> bool:
-    if spec.n != 2:
-        return False
-    return spec.caps[0] * spec.caps[1] < _INT64_SAFE // 4
+def _index_span(k0: int, step: int, size: int) -> tuple[int, int]:
+    """Least and greatest m with 0 <= k0 + step * m < size (step != 0)."""
+    lo, hi = -k0, size - 1 - k0
+    if step < 0:
+        lo, hi = hi, lo
+    return -(-lo // step), hi // step
 
 
-def _np_arrays(spec: EnumSpec):
-    lads = _ladders(spec)
-    arr = lambda r: np.arange(r.start, r.stop, r.step, dtype=np.int64)
-    return arr(lads[0][0]), arr(lads[0][1]), arr(lads[1][0]), lads[1][1]
+def _solve2(a: int, b: int, r: int, lad1: range, lad2: range):
+    """Pairs (u, v) in lad1 x lad2 with a*u + b*v = r, in ascending order.
+
+    Returns None, or (grid, (us, vs)) with non-empty ranges us and vs: the
+    pairs are product(us, vs) when grid is true and zip(us, vs) otherwise.
+    Writing u and v by their ladder indices keeps the equation linear, so
+    one extended gcd gives every solution and the box clips it.
+    """
+    if not lad1 or not lad2:
+        return None
+    r -= a * lad1.start + b * lad2.start
+    a *= lad1.step
+    b *= lad2.step
+    if a == 0 or b == 0:
+        if a == b == 0:
+            return (True, (lad1, lad2)) if r == 0 else None
+        k, rem = divmod(r, a or b)
+        if rem or not 0 <= k < len(lad1 if a else lad2):
+            return None
+        return True, ((lad1[k : k + 1], lad2) if a else (lad1, lad2[k : k + 1]))
+    g, s, t = ext_gcd(a, b)
+    if r % g:
+        return None
+    # indices (s*r/g + p*m, t*r/g + w*m); p > 0 so u ascends with m
+    p, w = b // g, -a // g
+    if p < 0:
+        p, w = -p, -w
+    k1, k2 = s * (r // g), t * (r // g)
+    lo1, hi1 = _index_span(k1, p, len(lad1))
+    lo2, hi2 = _index_span(k2, w, len(lad2))
+    lo, hi = max(lo1, lo2), min(hi1, hi2)
+    if lo > hi:
+        return None
+    count = hi - lo + 1
+    u0, du = lad1.start + lad1.step * (k1 + p * lo), lad1.step * p
+    v0, dv = lad2.start + lad2.step * (k2 + w * lo), lad2.step * w
+    return False, (range(u0, u0 + du * count, du), range(v0, v0 + dv * count, dv))
 
 
-def _count2_numpy(spec: EnumSpec) -> int:
-    a_vals, b_vals, c_vals, d_lad = _np_arrays(spec)
-    num = 1 + b_vals[:, None] * c_vals[None, :]
-    cap_d = spec.caps[1]
-    q = spec.q
-    target_d = spec.x[1][1] if q else 0
-    total = 0
-    for a in a_vals:
-        a = int(a)
-        if a == 0:
-            pairs = int((num == 0).sum())
-            total += pairs * len(d_lad)
-            continue
-        mask = (num % a) == 0
-        d = num // a
-        mask &= np.abs(d) <= cap_d
-        if q:
-            mask &= ((d - target_d) % q) == 0
-        total += int(mask.sum())
-    return total
+def _pairs(solution):
+    grid, axes = solution
+    return product(*axes) if grid else zip(*axes)
 
 
-def _exists2_numpy(spec: EnumSpec) -> bool:
-    a_vals, b_vals, c_vals, d_lad = _np_arrays(spec)
-    num = 1 + b_vals[:, None] * c_vals[None, :]
-    cap_d = spec.caps[1]
-    q = spec.q
-    target_d = spec.x[1][1] if q else 0
-    for a in a_vals:
-        a = int(a)
-        if a == 0:
-            if len(d_lad) and (num == 0).any():
-                return True
-            continue
-        mask = (num % a) == 0
-        d = num // a
-        mask &= np.abs(d) <= cap_d
-        if q:
-            mask &= ((d - target_d) % q) == 0
-        if mask.any():
-            return True
-    return False
+def _size(solution) -> int:
+    grid, axes = solution
+    return math.prod(map(len, axes)) if grid else len(axes[0])
 
 
-def _iter_general(spec: EnumSpec):
-    n = spec.n
-    lads = _ladders(spec)
-    d_lad = lads[n - 1][n - 1]
-    prefix_lads = [lads[i][j] for i in range(n - 1) for j in range(n)]
-    v_lads = [lads[n - 1][j] for j in range(n - 1)]
+def _orbit_size(row) -> int:
+    """Number of distinct signed permutations of a sorted non-negative row."""
+    size = math.factorial(len(row)) << sum(1 for v in row if v)
+    for v in set(row):
+        size //= math.factorial(row.count(v))
+    return size
 
-    for flat in _cartesian(*prefix_lads):
-        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n - 1))
-        if n == 2:
-            c = (-rows[0][1], rows[0][0])
-        else:
-            c = _minor_vector(rows)
-        cn = c[n - 1]
-        for v in _cartesian(*v_lads):
-            partial = sum(vj * cj for vj, cj in zip(v, c))
-            num = 1 - partial
-            if cn != 0:
-                if num % cn == 0:
-                    d = num // cn
-                    if d in d_lad:
-                        yield rows + (v + (d,),)
-            elif num == 0:
-                for d in d_lad:
-                    yield rows + (v + (d,),)
+
+def _walk(spec: EnumSpec, weighted: bool = False):
+    """(weight, rows, head, solution) for every fixed part with solutions.
+
+    rows are the first n - 1 rows and head the last row's first n - 2
+    entries; each pair of solution completes the matrix rows + (head + pair,).
+    They come in lexicographic order with weight 1, unless weighted (q = 0
+    only): then the first row runs over orbit representatives, weighted by
+    orbit size.
+    """
+    n, lads = spec.n, _ladders(spec)
+    if n == 1:
+        if 1 in lads[0][0]:
+            yield 1, (), (), (True, (range(1, 2),))
+        return
+    if weighted:
+        firsts = combinations_with_replacement(range(spec.caps[0] + 1), n)
+        firsts = [(_orbit_size(f), f) for f in firsts if math.gcd(*f) == 1]
+    else:
+        firsts = [(1, f) for f in product(*lads[0]) if math.gcd(*f) == 1]
+    middle = [list(product(*lads[i])) for i in range(1, n - 1)]
+    heads = list(product(*lads[n - 1][: n - 2]))
+    lad1, lad2 = lads[n - 1][n - 2], lads[n - 1][n - 1]
+    for weight, first in firsts:
+        for rest in product(*middle):
+            rows = (first,) + rest
+            c = _cofactors(rows)
+            for head in heads:
+                r = 1 - sum(v * cj for v, cj in zip(head, c))
+                solution = _solve2(c[n - 2], c[n - 1], r, lad1, lad2)
+                if solution:
+                    yield weight, rows, head, solution
 
 
 def count_sl(spec: EnumSpec, budget: int | None = None) -> int:
     """Exact count of gamma in SL_n(Z) within the caps (and congruence)."""
     _check_budget(spec, budget)
-    n = spec.n
-    if n == 1:
-        return 1 if 1 in _ladders(spec)[0][0] else 0
-    if _np_usable(spec) and candidate_count(spec) > _NUMPY_CUTOVER:
-        return _count2_numpy(spec)
-    lads = _ladders(spec)
-    d_lad = lads[n - 1][n - 1]
-    total = 0
-    prefix_lads = [lads[i][j] for i in range(n - 1) for j in range(n)]
-    v_lads = [lads[n - 1][j] for j in range(n - 1)]
-    for flat in _cartesian(*prefix_lads):
-        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n - 1))
-        if n == 2:
-            c = (-rows[0][1], rows[0][0])
-        else:
-            c = _minor_vector(rows)
-        cn = c[n - 1]
-        for v in _cartesian(*v_lads):
-            partial = sum(vj * cj for vj, cj in zip(v, c))
-            num = 1 - partial
-            if cn != 0:
-                if num % cn == 0 and (num // cn) in d_lad:
-                    total += 1
-            elif num == 0:
-                total += len(d_lad)
-    return total
+    return sum(w * _size(sol) for w, _, _, sol in _walk(spec, spec.q == 0))
 
 
 def iter_sl(spec: EnumSpec, budget: int | None = None):
-    """Every matching matrix as row tuples, in deterministic order.
+    """Every matching matrix as row tuples, in lexicographic row-major order.
 
     The budget check happens eagerly, before the first matrix is produced.
     """
     _check_budget(spec, budget)
-    if spec.n == 1:
-        one = ((1,),) if 1 in _ladders(spec)[0][0] else None
-        return iter(() if one is None else (one,))
-    return _iter_general(spec)
+    return (
+        rows + (head + pair,)
+        for _, rows, head, sol in _walk(spec)
+        for pair in _pairs(sol)
+    )
 
 
 def exists_sl(spec: EnumSpec, budget: int | None = None) -> bool:
     """Whether at least one matching matrix exists."""
     _check_budget(spec, budget)
-    if spec.n == 1:
-        return 1 in _ladders(spec)[0][0]
-    if _np_usable(spec) and candidate_count(spec) > _NUMPY_CUTOVER:
-        return _exists2_numpy(spec)
-    for _ in _iter_general(spec):
-        return True
-    return False
+    return next(_walk(spec, spec.q == 0), None) is not None
 
 
 def iter_lifts(x: IntMatrix, q: int, cap: int, budget: int | None = None):
@@ -309,59 +307,28 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int, budget: int | None = None) -
     return None
 
 
-def _counts2_cumulative(t_max: int, budget: int | None = None) -> list[int]:
-    """|F_T| for n = 2 and every T <= t_max, via one histogram sweep.
-
-    For a != 0 the solved entry is d = (1 + bc) / a, and (a, b, c, d) and
-    (-a, b, c, -d) pair up, so only positive a is scanned and doubled; the
-    a = 0 stratum (bc = -1, d free) is added in closed form.
-    """
-    limit = current_budget(budget)
-    if (2 * t_max + 1) ** 3 > limit:
-        raise BudgetExceeded(
-            f"candidate space {(2 * t_max + 1) ** 3} exceeds budget {limit}"
-        )
-    counts = np.zeros(t_max + 1, dtype=np.int64)
-    vals = np.arange(-t_max, t_max + 1, dtype=np.int64)
-    absvals = np.abs(vals)
-    chunk = 512
-    for start in range(0, len(vals), chunk):
-        b = vals[start : start + chunk]
-        num = 1 + b[:, None] * vals[None, :]
-        mbc = np.maximum(np.abs(b)[:, None], absvals[None, :])
-        for a in range(1, t_max + 1):
-            mask = (num % a) == 0
-            d = num // a
-            mask &= np.abs(d) <= t_max
-            m = np.maximum(np.maximum(mbc, np.abs(d)), a)
-            counts += 2 * np.bincount(m[mask], minlength=t_max + 1)
-    if t_max >= 1:
-        counts[1] += 6  # [[0,1],[-1,d]] and [[0,-1],[1,d]] with |d| <= 1
-        if t_max >= 2:
-            counts[2:] += 4  # same two shapes with d = +-k
-    return [int(v) for v in np.cumsum(counts)]
-
-
 def norm_count_table(
     n: int, t_list, budget: int | None = None
 ) -> list[tuple[int, int, float | None]]:
-    """Rows (T, exact count within norm T, count / T^(n^2 - n))."""
+    """Rows (T, exact count within norm T, count / T^(n^2 - n)).
+
+    A single threshold is one count_sl; several share one walk over the box
+    of the largest, bucketed by exact max norm.
+    """
     t_list = [int(t) for t in t_list]
     if any(t < 0 for t in t_list):
         raise InvalidInput("thresholds must be >= 0")
     exponent = n * n - n
-    out = []
-    if n == 2 and t_list:
-        t_max = max(t_list)
-        cumulative = _counts2_cumulative(t_max, budget) if t_max >= 1 else [0]
-        for t in t_list:
-            count = cumulative[t] if t >= 1 else 0
-            out.append((t, int(count), count / t**exponent if t > 0 else None))
-        return out
-    for t in t_list:
-        if t == 0:
-            out.append((0, 0, None))
-            continue
-        count = count_sl(EnumSpec(n=n, caps=(t,) * n), budget)
-        out.append((t, count, count / t**exponent))
-    return out
+    t_max = max(t_list, default=0)
+    if len(t_list) == 1 or t_max == 0:
+        counts = {t: count_sl(EnumSpec(n=n, caps=(t,) * n), budget) if t else 0 for t in t_list}
+    else:
+        spec = EnumSpec(n=n, caps=(t_max,) * n)
+        _check_budget(spec, budget)
+        exact = [0] * (t_max + 1)
+        for weight, rows, head, sol in _walk(spec, weighted=True):
+            top = max(map(abs, chain(head, *rows)), default=0)
+            for pair in _pairs(sol):
+                exact[max(top, *map(abs, pair))] += weight
+        counts = list(accumulate(exact))
+    return [(t, counts[t], counts[t] / t**exponent if t else None) for t in t_list]

@@ -4,6 +4,7 @@ import json
 import os
 
 import jsonschema
+import pytest
 
 from sllift import cli, records
 from sllift.intmat import IntMatrix
@@ -122,6 +123,14 @@ class TestHardCommand:
         code, _, err = run(["hard", "--n", "2"], capsys)
         assert code == 1
 
+    def test_prime_too_large_is_budget_exit(self, capsys):
+        # 1000003 is a prime above the residue scan bound (PrimeTooLarge)
+        code, out, err = run(["hard", "--n", "2", "--q", "1000003"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("budget exhausted: ")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestSweeps:
     def test_counts_first_row(self, capsys):
@@ -145,6 +154,24 @@ class TestSweeps:
         code, _, err = run(["sweep", "roots"], capsys)
         assert code == 1
         assert "--q" in err
+
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [("counts", "--T"), ("skewed", "--T"), ("diameter", "--q"), ("lift-bounds", "--q")],
+    )
+    def test_each_sweep_names_its_missing_range(self, capsys, kind, flag):
+        code, out, err = run(["sweep", kind], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: sweep {kind} needs {flag}\n"
+
+    def test_non_integer_env_budget_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SLLIFT_BUDGET", "abc")
+        code, out, err = run(["sweep", "counts", "--n", "2", "--T", "3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert "SLLIFT_BUDGET" in err and "'abc'" in err
 
     def test_csv_and_jsonl_outputs(self, tmp_path, capsys):
         csv_path = str(tmp_path / "out.csv")

@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sllift.errors import BudgetExceeded, InvalidInput
 from sllift.intmat import IntMatrix, adjugate_mod
@@ -17,6 +20,29 @@ from sllift.oracle import (
     min_lift_norm,
     norm_count_table,
 )
+
+
+def _det(g):
+    if len(g) == 1:
+        return g[0][0]
+    return sum(
+        (-1) ** j * g[0][j] * _det([row[:j] + row[j + 1 :] for row in g[1:]])
+        for j in range(len(g))
+    )
+
+
+def brute_force(spec):
+    """Every det-1 matrix in the caps box matching the congruence, by full scan."""
+    n = spec.n
+    boxes = [range(-spec.caps[i], spec.caps[i] + 1) for i in range(n) for _ in range(n)]
+    out = []
+    for flat in itertools.product(*boxes):
+        g = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        if spec.q and any((g[i][j] - spec.x[i][j]) % spec.q for i in range(n) for j in range(n)):
+            continue
+        if _det(g) == 1:
+            out.append(g)
+    return out
 
 
 class TestEnumSpec:
@@ -51,20 +77,27 @@ class TestCountSl:
         assert count_sl(EnumSpec(n=1, caps=(3,), q=9, x=((1,),))) == 1
 
     def test_numpy_and_pure_paths_agree(self):
+        # differential against a brute-force scan of the whole box: counts,
+        # existence and the full iteration order (lexicographic row-major)
         rng = random.Random(5)
-        from sllift import oracle as o
-
+        specs = []
         for _ in range(15):
             caps = (rng.randrange(1, 5), rng.randrange(1, 5))
             if rng.getrandbits(1):
                 q = rng.choice([2, 3, 5])
                 x = random_sl_matrix(2, q, rng.randrange(2**30))
-                spec = EnumSpec(n=2, caps=caps, q=q, x=x.rows)
+                specs.append(EnumSpec(n=2, caps=caps, q=q, x=x.rows))
             else:
-                spec = EnumSpec(n=2, caps=caps)
-            pure = count_sl(spec)
-            assert pure == o._count2_numpy(spec), spec
-            assert (pure > 0) == o._exists2_numpy(spec), spec
+                specs.append(EnumSpec(n=2, caps=caps))
+        specs.append(EnumSpec(n=3, caps=(1, 1, 1)))
+        for q in (2, 3):
+            x = random_sl_matrix(3, q, rng.randrange(2**30))
+            specs.append(EnumSpec(n=3, caps=(1, 1, 1), q=q, x=x.rows))
+        for spec in specs:
+            expected = brute_force(spec)
+            assert count_sl(spec) == len(expected), spec
+            assert exists_sl(spec) == bool(expected), spec
+            assert list(iter_sl(spec)) == sorted(expected), spec
 
     def test_n3_small(self):
         # all of SL_3 within norm 1: known small-count sanity value, checked
@@ -76,6 +109,13 @@ class TestCountSl:
         spec = EnumSpec(n=2, caps=(100, 100))
         with pytest.raises(BudgetExceeded):
             count_sl(spec, budget=1000)
+
+    def test_env_budget_must_be_decimal(self, monkeypatch):
+        monkeypatch.setenv("SLLIFT_BUDGET", "1e6")
+        with pytest.raises(InvalidInput, match="SLLIFT_BUDGET"):
+            current_budget()
+        with pytest.raises(InvalidInput, match="SLLIFT_BUDGET"):
+            count_sl(EnumSpec(n=2, caps=(1, 1)))
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("SLLIFT_BUDGET", "50")
@@ -224,3 +264,41 @@ class TestSkewedCounts:
             caps = (rng.randrange(1, 4), rng.randrange(1, 4))
             spec = EnumSpec(n=2, caps=caps, q=q, x=x.rows)
             assert exists_sl(spec) == (count_sl(spec) > 0)
+
+
+@st.composite
+def small_specs(draw):
+    """n = 2 with caps <= 6 or n = 3 with caps <= 1, with or without a congruence."""
+    n = draw(st.sampled_from([2, 3]))
+    top = 6 if n == 2 else 1
+    caps = tuple(draw(st.integers(1, top)) for _ in range(n))
+    q = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7]))
+    if q == 0:
+        return EnumSpec(n=n, caps=caps)
+    x = random_sl_matrix(n, q, draw(st.integers(0, 2**30)))
+    return EnumSpec(n=n, caps=caps, q=q, x=x.rows)
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_specs())
+    def test_count_iter_exists_agree(self, spec):
+        count = count_sl(spec)
+        assert count == len(list(iter_sl(spec)))
+        assert exists_sl(spec) == (count > 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_congruence_path_matches_symmetric_path(self, n, data):
+        # q = 1 runs the plain lexicographic walk, q = 0 the orbit-weighted one
+        top = 12 if n == 2 else 1
+        caps = tuple(data.draw(st.integers(1, top)) for _ in range(n))
+        zero = ((0,) * n,) * n
+        assert count_sl(EnumSpec(n=n, caps=caps, q=1, x=zero)) == count_sl(EnumSpec(n=n, caps=caps))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.data())
+    def test_single_threshold_matches_table_row(self, n, data):
+        t = data.draw(st.integers(1, {1: 5, 2: 30, 3: 2}[n]))
+        table = norm_count_table(n, range(1, t + 1))
+        assert norm_count_table(n, [t]) == [table[t - 1]]
