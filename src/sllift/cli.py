@@ -162,6 +162,8 @@ def _hard_results(instance: hardness.HardInstance) -> dict:
 
 def _cmd_hard(args) -> int:
     start = time.monotonic()
+    if args.verify_oracle is not None and args.verify_oracle < 1:
+        raise _UsageError(f"--verify-oracle needs T_MAX >= 1, got {args.verify_oracle}")
     try:
         if args.trace_family_m is not None:
             instance = hardness.trace_family_instance(args.trace_family_m)

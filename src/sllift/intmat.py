@@ -1,15 +1,15 @@
 """Exact integer and mod-q matrix algebra.
 
-Determinants, adjugates, maximal minors, the mod-q row-combination solver,
-and rational size reduction against a fixed basis.  All arithmetic is exact;
-the only float in this module is the informational operator-norm estimate.
+Determinants, adjugates mod q, maximal minors, the mod-q row-combination
+solver and size reduction against a fixed basis, all on one fraction-free
+(Bareiss) elimination.  All arithmetic is exact integer; the only float in
+this module is the informational operator-norm estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadShape, DependentRows, NotInvertible, NotSquare
 
@@ -90,31 +90,20 @@ class NormReport:
     op_norm_estimate: float
 
 
-def _det_cofactor(rows) -> int:
+def _eliminate(rows, rhs=()):
+    """Fraction-free (Bareiss) elimination of [A | b] for square A.
+
+    Returns (d, x) with d = det(A) and x = adj(A) b, the rows of b given as
+    rhs (none for a bare determinant).  Every intermediate entry is a minor
+    of [A | b], so each division is exact; back-substitution recovers
+    x = d A^-1 b, integral by Cramer's rule.  A singular A gives (0, None).
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    first = rows[0]
-    rest = rows[1:]
-    for j, a in enumerate(first):
-        if a == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rest]
-        term = a * _det_cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
-def _det_bareiss(rows) -> int:
-    """Fraction-free Gaussian elimination; exact for any size."""
-    a = [list(r) for r in rows]
-    n = len(a)
+    a = [list(r) + list(e) for r, e in zip(rows, rhs)] if rhs else [list(r) for r in rows]
+    width = len(a[0])
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
@@ -122,47 +111,44 @@ def _det_bareiss(rows) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, None
+        pivot_row = a[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            f = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    d = sign * prev
+    x = [()] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        x[i] = [
+            (d * row[n + c] - sum(row[j] * x[j][c] for j in range(i + 1, n))) // row[i]
+            for c in range(width - n)
+        ]
+    return d, x
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant; cofactor expansion for n <= 4, Bareiss above."""
+    """Exact determinant by fraction-free elimination."""
     if m.nrows != m.ncols:
         raise NotSquare(f"{m.nrows}x{m.ncols} matrix")
-    if m.nrows <= 4:
-        return _det_cofactor(m.rows)
-    return _det_bareiss(m.rows)
-
-
-def adjugate(m: IntMatrix) -> IntMatrix:
-    """Exact adjugate: adj(M)[i][j] = (-1)^(i+j) det(M without row j, col i)."""
-    if m.nrows != m.ncols:
-        raise NotSquare(f"{m.nrows}x{m.ncols} matrix")
-    n = m.nrows
-    if n == 1:
-        return IntMatrix(((1,),))
-    rows = m.rows
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        without_i = rows[:i] + rows[i + 1 :]
-        for j in range(n):
-            minor = [r[:j] + r[j + 1 :] for r in without_i]
-            c = _det_cofactor(minor) if n - 1 <= 4 else _det_bareiss(minor)
-            out[j][i] = c if (i + j) % 2 == 0 else -c
-    return IntMatrix(out)
+    return _eliminate(m.rows)[0]
 
 
 def adjugate_mod(m: IntMatrix, q: int) -> IntMatrix:
     """Inverse mod q of a matrix with det = 1 mod q (its adjugate reduced)."""
-    d = det(m) % q
-    if d != 1 % q:
-        raise NotInvertible(f"det is {d} mod {q}, need 1")
-    return adjugate(m).reduce_mod(q)
+    n = m.nrows
+    if n != m.ncols:
+        raise NotSquare(f"{n}x{m.ncols} matrix")
+    if q == 1:
+        return IntMatrix([[0] * n] * n)
+    d, adj = _eliminate(m.rows, IntMatrix.identity(n).rows)
+    if d % q != 1 % q:
+        raise NotInvertible(f"det is {d % q} mod {q}, need 1")
+    return IntMatrix([[e % q for e in row] for row in adj])
 
 
 def maximal_minors(b: IntMatrix) -> tuple[int, ...]:
@@ -176,8 +162,7 @@ def maximal_minors(b: IntMatrix) -> tuple[int, ...]:
         raise BadShape(f"need (n-1) x n, got {b.nrows}x{b.ncols}")
     out = []
     for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in b.rows]
-        d = _det_cofactor(minor) if n - 1 <= 4 else _det_bareiss(minor)
+        d = _eliminate([r[:j] + r[j + 1 :] for r in b.rows])[0]
         out.append(d if (n + j + 1) % 2 == 0 else -d)
     return tuple(out)
 
@@ -199,43 +184,28 @@ def solve_mod(a: IntMatrix, w, q: int) -> tuple[int, ...]:
     )
 
 
-def _solve_fractions(g, rhs):
-    """Exact solve of the square system g * x = rhs over Fraction."""
-    k = len(g)
-    m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(g, rhs)]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if m[i][col] != 0), None)
-        if piv is None:
-            raise DependentRows("Gram matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for i in range(k):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [m[i][k] for i in range(k)]
-
-
 def size_reduce(v, b: IntMatrix) -> tuple[int, ...]:
     """Reduce v modulo the row lattice of B by nearest-integer projection.
 
-    Solves the exact rational normal equations G a = B v^T (G = B B^T) and
-    returns v - sum round(a_i) row_i(B).  The output is congruent to v mod
-    the row lattice; when the component of v orthogonal to the rows has
-    length at most 1 (as in unimodular completion), its max norm is at most
-    (n/2) max_norm(B) + 1.  Arithmetic is exact rational, never float.
+    Solves the normal equations G a = B v^T (G = B B^T) by fraction-free
+    elimination, as a = x / d with d = det(G) > 0, and returns
+    v - sum round(a_i) row_i(B), rounding ties toward +inf.  The output is
+    congruent to v mod the row lattice; when the component of v orthogonal
+    to the rows has length at most 1 (as in unimodular completion), its max
+    norm is at most (n/2) max_norm(B) + 1.  Arithmetic is exact integer.
     """
     v = tuple(int(x) for x in v)
     if len(v) != b.ncols:
         raise BadShape(f"vector length {len(v)} vs {b.nrows}x{b.ncols}")
     rows = b.rows
     g = [[sum(x * y for x, y in zip(r1, r2)) for r2 in rows] for r1 in rows]
-    rhs = [sum(x * y for x, y in zip(r, v)) for r in rows]
-    alpha = _solve_fractions(g, rhs)
+    rhs = [(sum(x * y for x, y in zip(r, v)),) for r in rows]
+    d, x = _eliminate(g, rhs)
+    if d == 0:
+        raise DependentRows("Gram matrix is singular")
     out = list(v)
-    for coeff, row in zip(alpha, rows):
-        k = (2 * coeff + 1) // 2  # nearest integer, ties toward +inf
+    for (num,), row in zip(x, rows):
+        k = (2 * num + d) // (2 * d)  # nearest integer to num / d, ties toward +inf
         if k:
             for j in range(len(out)):
                 out[j] -= k * row[j]

@@ -48,34 +48,31 @@ def _signed_rows(a: IntMatrix, q: int):
     return [[signed(x, q) for x in row] for row in a.rows]
 
 
-def _gcd_minors_with(rows, q: int) -> int:
-    g = reduce(math.gcd, intmat.maximal_minors(IntMatrix(rows)))
-    return math.gcd(g, q)
-
-
 def _lift_rows_searched(
     a: IntMatrix, q: int, seed: int, growth_c: float
-) -> tuple[IntMatrix, int]:
-    """Row lift returning (B, trials_used)."""
+) -> tuple[IntMatrix, tuple[int, ...], int]:
+    """Row lift returning (B, maximal_minors(B), trials_used)."""
     if q < 1:
         raise InvalidInput(f"need q >= 1, got {q}")
     base = _signed_rows(a, q)
-    if _gcd_minors_with(base, q) != 1:
-        raise NotExtendableModQ(f"row minors share a factor with q={q}")
     rows = len(base)
     cols = len(base[0])
-    trials = 0
 
-    def candidate(x_rows):
-        return IntMatrix(
-            [[base[i][j] + q * x_rows[i][j] for j in range(cols)] for i in range(rows)]
-        )
+    # zero offset first: the common case needs no perturbation at all, and
+    # its minors are those of every lift mod q
+    b = IntMatrix(base)
+    minors = intmat.maximal_minors(b)
+    g = reduce(math.gcd, minors)
+    if math.gcd(g, q) != 1:
+        raise NotExtendableModQ(f"row minors share a factor with q={q}")
+    trials = 1
+    if g == 1:
+        return b, minors, trials
 
-    # zero offset first: the common case needs no perturbation at all
-    trials += 1
-    b = candidate([[0] * cols for _ in range(rows)])
-    if is_extendable(b):
-        return b, trials
+    def accept(b):
+        """b's minors if b extends to SL_n(Z), else None."""
+        minors = intmat.maximal_minors(b)
+        return minors if reduce(math.gcd, minors) == 1 else None
 
     rng = random.Random(seed)
     bound = max(2, math.ceil(growth_c * math.log2(q + 2)))
@@ -83,10 +80,12 @@ def _lift_rows_searched(
     while True:
         for _ in range(_TRIES_PER_LEVEL):
             trials += 1
-            x = [[rng.randrange(level) for _ in range(cols)] for _ in range(rows)]
-            b = candidate(x)
-            if is_extendable(b):
-                return b, trials
+            b = IntMatrix(
+                [[base[i][j] + q * rng.randrange(level) for j in range(cols)] for i in range(rows)]
+            )
+            minors = accept(b)
+            if minors is not None:
+                return b, minors, trials
         if level >= bound:
             break
         level = min(2 * level, bound)
@@ -111,17 +110,17 @@ def _lift_rows_searched(
                 row.append(base[i][j] + q * crt(congruences).value)
             shifted.append(row)
         step = big_p * q
-        small_bound = max(2, math.ceil(growth_c * math.log2(q + 2)))
         for _ in range(_FALLBACK_TRIES):
             trials += 1
             b = IntMatrix(
                 [
-                    [shifted[i][j] + step * rng.randrange(small_bound) for j in range(cols)]
+                    [shifted[i][j] + step * rng.randrange(bound) for j in range(cols)]
                     for i in range(rows)
                 ]
             )
-            if is_extendable(b):
-                return b, trials
+            minors = accept(b)
+            if minors is not None:
+                return b, minors, trials
     raise SearchExhausted(f"no extendable row lift found for q={q} (trials={trials})")
 
 
@@ -132,7 +131,7 @@ def lift_rows(a: IntMatrix, q: int, seed: int = 0, growth_c: float = DEFAULT_GRO
     X = 0, then uniform X with entries in [0, M) for M doubling up to
     growth_c * log2(q+2), then the CRT fallback.
     """
-    b, _ = _lift_rows_searched(a, q, seed, growth_c)
+    b, _, _ = _lift_rows_searched(a, q, seed, growth_c)
     return b
 
 
@@ -142,7 +141,11 @@ def complete_rows(b: IntMatrix) -> tuple[int, ...]:
     Solves <v0, minors(B)> = 1 by iterated extended gcd, then size-reduces
     v0 against the rows of B.
     """
-    c = intmat.maximal_minors(b)
+    return _complete(b, intmat.maximal_minors(b))
+
+
+def _complete(b: IntMatrix, c: tuple[int, ...]) -> tuple[int, ...]:
+    """complete_rows(b) given c = maximal_minors(b)."""
     g, coeffs = c[0], [1]
     for ci in c[1:]:
         g, s, t = ext_gcd(g, ci)
@@ -176,8 +179,8 @@ def lift(x: IntMatrix, q: int, seed: int = 0, growth_c: float = DEFAULT_GROWTH_C
         raise InvalidInput(f"det is {intmat.det(x) % q} mod {q}, need 1")
 
     top = IntMatrix(x.rows[: n - 1])
-    b, trials = _lift_rows_searched(top, q, seed, growth_c)
-    v = complete_rows(b)
+    b, minors, trials = _lift_rows_searched(top, q, seed, growth_c)
+    v = _complete(b, minors)
 
     w = tuple((x.rows[n - 1][j] - v[j]) % q for j in range(n))
     alpha = intmat.solve_mod(x.reduce_mod(q), w, q)

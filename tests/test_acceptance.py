@@ -18,6 +18,7 @@ from sllift.intmat import IntMatrix, det
 from sllift.lifting import complete_rows, is_extendable, lift, random_sl_matrix
 from sllift.oracle import EnumSpec, count_sl, iter_lifts, min_lift_norm, norm_count_table
 from sllift.actions import diameter_profile, projective_bad_pair
+from sllift.cli import _mix
 from sllift.intmat import solve_mod
 
 SEED = 20260810
@@ -34,13 +35,6 @@ FIRST_RUN = {
 
 # exact projective diameter norms measured on the first run (golden)
 P_DIAMETERS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 2, 8: 4}
-
-
-def _mix(*parts: int) -> int:
-    h = 0x9E3779B97F4A7C15
-    for p in parts:
-        h = (h ^ (p & (2**64 - 1))) * 0xBF58476D1CE4E5B9 % 2**64
-    return h % 2**63
 
 
 def _line(num: int, ok: bool, detail: str) -> bool:

@@ -123,6 +123,14 @@ class TestHardCommand:
         code, _, err = run(["hard", "--n", "2"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("t_max", ["0", "-3"])
+    def test_verify_oracle_below_one_is_usage_error(self, capsys, t_max):
+        code, out, err = run(["hard", "--n", "2", "--q", "8", "--verify-oracle", t_max], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and "--verify-oracle" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_prime_too_large_is_budget_exit(self, capsys):
         # 1000003 is a prime above the residue scan bound (PrimeTooLarge)
         code, out, err = run(["hard", "--n", "2", "--q", "1000003"], capsys)

@@ -21,6 +21,36 @@ def rand_matrix(rng, rows, cols, bound):
     return IntMatrix([[rng.randrange(-bound, bound + 1) for _ in range(cols)] for _ in range(rows)])
 
 
+def solve_fractions(g, rhs):
+    """Reference: exact solve of the square system g * x = rhs over Fraction."""
+    k = len(g)
+    m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(g, rhs)]
+    for col in range(k):
+        piv = next((i for i in range(col, k) if m[i][col] != 0), None)
+        if piv is None:
+            raise DependentRows("Gram matrix is singular")
+        m[col], m[piv] = m[piv], m[col]
+        pv = m[col][col]
+        m[col] = [x / pv for x in m[col]]
+        for i in range(k):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return [m[i][k] for i in range(k)]
+
+
+def size_reduce_fractions(v, b):
+    """Reference: rational Gram solve, each coefficient rounded as floor(a + 1/2)."""
+    rows = b.rows
+    g = [[sum(x * y for x, y in zip(r1, r2)) for r2 in rows] for r1 in rows]
+    rhs = [sum(x * y for x, y in zip(r, v)) for r in rows]
+    out = list(v)
+    for coeff, row in zip(solve_fractions(g, rhs), rows):
+        k = (2 * coeff + 1) // 2
+        out = [x - k * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
 class TestDet:
     def test_examples(self):
         assert det(IntMatrix.identity(3)) == 1
@@ -32,8 +62,8 @@ class TestDet:
             det(IntMatrix([[1, 2, 3], [4, 5, 6]]))
 
     def test_bareiss_agrees_with_cofactor(self):
-        # n = 5 goes through fraction-free elimination; pin it against the
-        # Laplace expansion evaluated by hand via permutation sum
+        # every size goes through fraction-free elimination; pin it against
+        # the Laplace expansion evaluated by hand via permutation sum
         rng = random.Random(11)
         from itertools import permutations
 
@@ -50,9 +80,16 @@ class TestDet:
                 total += sign * math.prod(m.rows[i][perm[i]] for i in range(n))
             return total
 
-        for _ in range(25):
-            m = rand_matrix(rng, 5, 5, 6)
+        for n in range(1, 6):
+            for _ in range(25):
+                m = rand_matrix(rng, n, n, 6)
+                assert det(m) == perm_det(m)
+            # zero leading entries force row swaps; a repeated row is singular
+            m = IntMatrix([[0] * (n - 1) + [1]] + [[int(i == j) for j in range(n)] for i in range(n - 1)])
             assert det(m) == perm_det(m)
+            if n > 1:
+                m = rand_matrix(rng, n, n, 6)
+                assert det(IntMatrix(m.rows[:-1] + m.rows[:1])) == 0
 
 
 class TestAdjugateMod:
@@ -66,6 +103,13 @@ class TestAdjugateMod:
     def test_not_invertible(self):
         with pytest.raises(NotInvertible):
             adjugate_mod(IntMatrix([[2, 0], [0, 1]]), 5)
+        with pytest.raises(NotInvertible):
+            adjugate_mod(IntMatrix([[1, 2], [2, 4]]), 5)
+
+    def test_modulus_one_singular(self):
+        # every matrix has det = 1 mod 1, singular ones included
+        for m in (IntMatrix([[1, 2], [2, 4]]), IntMatrix([[0, 0, 0]] * 3)):
+            assert adjugate_mod(m, 1) == IntMatrix([[0] * m.nrows] * m.nrows)
 
     def test_two_sided_inverse_mod_35(self):
         for seed in range(20):
@@ -123,6 +167,11 @@ class TestSizeReduce:
         assert size_reduce((0, 1), IntMatrix([[1, 0]])) == (0, 1)
         assert size_reduce((7, 0), IntMatrix([[1, 0]])) == (0, 0)
         assert size_reduce((100, 201), IntMatrix([[1, 2]])) == (0, 1)
+        # exact half-integer coefficients round toward +inf
+        assert size_reduce((1, 0), IntMatrix([[2, 0]])) == (-1, 0)
+        assert size_reduce((-1, 0), IntMatrix([[2, 0]])) == (-1, 0)
+        assert size_reduce((3, 0, 5), IntMatrix([[2, 0, 0], [0, 0, 2]])) == (-1, 0, -1)
+        assert size_reduce((-3, 0, -5), IntMatrix([[2, 0, 0], [0, 0, 2]])) == (-1, 0, -1)
 
     def test_dependent_rows(self):
         with pytest.raises(DependentRows):
@@ -140,14 +189,30 @@ class TestSizeReduce:
             w = size_reduce(v, b)
             # v - w must be an integer combination of the rows of b
             diff = [x - y for x, y in zip(v, w)]
-            g = [[Fraction(sum(r1[j] * r2[j] for j in range(n))) for r2 in b.rows] for r1 in b.rows]
-            rhs = [Fraction(sum(r[j] * diff[j] for j in range(n))) for r in b.rows]
-            from sllift.intmat import _solve_fractions
-
-            coeffs = _solve_fractions(g, rhs)
+            g = [[sum(r1[j] * r2[j] for j in range(n)) for r2 in b.rows] for r1 in b.rows]
+            rhs = [sum(r[j] * diff[j] for j in range(n)) for r in b.rows]
+            coeffs = solve_fractions(g, rhs)
             assert all(c.denominator == 1 for c in coeffs)
             for j in range(n):
                 assert diff[j] == sum(coeffs[i] * b.rows[i][j] for i in range(n - 1))
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(43)
+        for n in range(2, 9):
+            for bound in (3, 10**6, 10**12):
+                for _ in range(6):
+                    b = rand_matrix(rng, n - 1, n, bound)
+                    if all(x == 0 for x in maximal_minors(b)):
+                        continue  # dependent rows
+                    v = [rng.randrange(-bound, bound + 1) for _ in range(n)]
+                    assert size_reduce(v, b) == size_reduce_fractions(v, b)
+                    # a lattice point plus half a row of 2B is an exact tie
+                    ks = [rng.randrange(-bound, bound + 1) for _ in range(n - 1)]
+                    tie = list(b.rows[rng.randrange(n - 1)])
+                    for k, r in zip(ks, b.rows):
+                        tie = [x + 2 * k * y for x, y in zip(tie, r)]
+                    b2 = IntMatrix([[2 * x for x in r] for r in b.rows])
+                    assert size_reduce(tie, b2) == size_reduce_fractions(tie, b2)
 
 
 class TestNormReport:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sllift.lifting as lifting
 from sllift.errors import InvalidInput, NotExtendable, NotExtendableModQ
@@ -144,6 +146,29 @@ class TestLift:
         b = lift(x, 101, seed=5)
         assert a.gamma == b.gamma and a.trials_used == b.trials_used
 
+    def test_minors_once_per_trial(self, monkeypatch):
+        # the accepted candidate's minors feed the completion; only a
+        # rejected candidate costs a further maximal_minors call
+        calls = []
+        original = lifting.intmat.maximal_minors
+
+        def counted(b):
+            calls.append(b)
+            return original(b)
+
+        monkeypatch.setattr(lifting.intmat, "maximal_minors", counted)
+        rng = random.Random(53)
+        retried = 0
+        for _ in range(60):
+            n = rng.randrange(2, 6)
+            q = rng.choice([2, 12, 101, 360, 10**9 + 7])
+            x = random_sl_matrix(n, q, rng.randrange(2**30))
+            calls.clear()
+            cert = lift(x, q, seed=rng.randrange(2**30))
+            assert len(calls) == cert.trials_used
+            retried += cert.trials_used > 1
+        assert retried > 0
+
     def test_row_bound_ratios_small_scale(self):
         # the measured constants at desk scale stay far below the pin used
         # in the acceptance suite
@@ -158,6 +183,25 @@ class TestLift:
                     worst_last = max(worst_last, cert.last_row_max / (q * q * math.log2(q)))
                 assert worst_first < 4.0
                 assert worst_last < 4.0
+
+
+class TestLiftProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.one_of(st.integers(2, 10**6), st.sampled_from([4, 8, 12, 360, 1024, 30030, 720720])),
+        st.integers(0, 2**30),
+        st.integers(0, 2**30),
+    )
+    def test_soundness(self, n, q, x_seed, seed):
+        x = random_sl_matrix(n, q, x_seed)
+        cert = lift(x, q, seed=seed)
+        gamma = cert.gamma
+        assert det(gamma) == 1
+        assert gamma.reduce_mod(q) == x.reduce_mod(q)
+        assert cert.first_rows_max == max(abs(e) for row in gamma.rows[: n - 1] for e in row)
+        assert cert.last_row_max == max(abs(e) for e in gamma.rows[n - 1])
+        assert lift(x, q, seed=seed) == cert
 
 
 def test_random_sl_matrix_determinant():
