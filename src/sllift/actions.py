@@ -2,15 +2,18 @@
 
 Points are primitive vectors mod q (affine) or their unit-scaling classes
 (projective); the distance between two points is the smallest max norm of an
-integer unimodular matrix carrying one to the other.  All scans enumerate
-matrices shell by shell (exact max norm m = 1, 2, ...) so the first hit is
-the minimum.  Norms are stored exactly; logarithms are presentation only.
+integer unimodular matrix carrying one to the other.  All scans walk one
+first-hit generator (``_reach``) that enumerates matrices shell by shell
+(exact max norm m = 1, 2, ...) so the first hit is the minimum.  Norms are
+stored exactly; logarithms are presentation only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 from .errors import BudgetExceeded, InvalidInput
 from .oracle import EnumSpec, iter_sl
@@ -18,16 +21,25 @@ from .oracle import EnumSpec, iter_sl
 _SHELL_CACHE: dict[tuple[int, int], tuple] = {}
 
 
+@lru_cache(maxsize=256)
 def units_mod(q: int) -> tuple[int, ...]:
-    if q == 1:
-        return (0,)
-    return tuple(u for u in range(1, q) if math.gcd(u, q) == 1)
+    return tuple(u for u in range(q) if math.gcd(u, q) == 1)
 
 
 def canonical_rep(coords, q: int) -> tuple[int, ...]:
     """Lexicographically least element of the unit-scaling orbit of coords."""
     coords = tuple(c % q for c in coords)
     return min(tuple(u * c % q for c in coords) for u in units_mod(q))
+
+
+def _primitive(q: int, coords) -> tuple[int, ...]:
+    """coords reduced mod q; raises InvalidInput unless primitive mod q >= 1."""
+    if q < 1:
+        raise InvalidInput(f"need q >= 1, got {q}")
+    coords = tuple(int(c) % q for c in coords)
+    if math.gcd(q, *coords) != 1:
+        raise InvalidInput(f"{coords} is not primitive mod {q}")
+    return coords
 
 
 @dataclass(frozen=True)
@@ -38,12 +50,7 @@ class PointA:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if self.q < 1:
-            raise InvalidInput(f"need q >= 1, got {self.q}")
-        coords = tuple(int(c) % self.q for c in self.coords)
-        if math.gcd(self.q, *coords) != 1:
-            raise InvalidInput(f"{coords} is not primitive mod {self.q}")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", _primitive(self.q, self.coords))
 
 
 @dataclass(frozen=True)
@@ -54,12 +61,7 @@ class PointP:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if self.q < 1:
-            raise InvalidInput(f"need q >= 1, got {self.q}")
-        coords = tuple(int(c) % self.q for c in self.coords)
-        if math.gcd(self.q, *coords) != 1:
-            raise InvalidInput(f"{coords} is not primitive mod {self.q}")
-        object.__setattr__(self, "coords", canonical_rep(coords, self.q))
+        object.__setattr__(self, "coords", canonical_rep(_primitive(self.q, self.coords), self.q))
 
 
 @dataclass(frozen=True)
@@ -94,57 +96,51 @@ def _apply(gamma, coords, q):
     return tuple(sum(row[j] * coords[j] for j in range(len(coords))) % q for row in gamma)
 
 
-def _record(x, y, q, hit, t_max):
-    if hit is None:
-        return DistanceRecord(x, y, q, None, None, t_max, None)
-    norm, gamma = hit
-    exponent = 0.0 if norm == 1 else math.log(norm) / math.log(q)
-    return DistanceRecord(x, y, q, norm, gamma, t_max, exponent)
+def _same(coords, q):
+    return coords
+
+
+def _reach(n: int, q: int, src, t_max: int, key):
+    """Yield (class, m, gamma) the first time gamma * src reaches each class.
+
+    Shells go in order m = 1..t_max, each in iter_sl order, so every class
+    comes with its least norm and first witness; key is _same or canonical_rep.
+    """
+    seen = set()
+    for m in range(1, t_max + 1):
+        for gamma in _shell(n, m):
+            image = key(_apply(gamma, src, q), q)
+            if image not in seen:
+                seen.add(image)
+                yield image, m, gamma
+
+
+def _exponent(v: int, q: int) -> float:
+    return 0.0 if v == 1 else math.log(v) / math.log(q)
+
+
+def _dist(x, y, t_max, key) -> DistanceRecord:
+    if x.q != y.q or len(x.coords) != len(y.coords):
+        raise InvalidInput("points live in different spaces")
+    for image, m, gamma in _reach(len(x.coords), x.q, x.coords, t_max, key):
+        if image == y.coords:
+            return DistanceRecord(x.coords, y.coords, x.q, m, gamma, t_max, _exponent(m, x.q))
+    return DistanceRecord(x.coords, y.coords, x.q, None, None, t_max, None)
 
 
 def dist_affine(x: PointA, y: PointA, t_max: int) -> DistanceRecord:
     """Minimal max norm of gamma in SL_n(Z) with gamma * x = y mod q."""
-    if x.q != y.q or len(x.coords) != len(y.coords):
-        raise InvalidInput("points live in different spaces")
-    n = len(x.coords)
-    hit = None
-    for m in range(1, t_max + 1):
-        for gamma in _shell(n, m):
-            if _apply(gamma, x.coords, x.q) == y.coords:
-                hit = (m, gamma)
-                break
-        if hit:
-            break
-    return _record(x.coords, y.coords, x.q, hit, t_max)
+    return _dist(x, y, t_max, _same)
 
 
 def dist_projective(x: PointP, y: PointP, t_max: int) -> DistanceRecord:
     """Minimal max norm of gamma with gamma * x = u * y mod q for a unit u."""
-    if x.q != y.q or len(x.coords) != len(y.coords):
-        raise InvalidInput("points live in different spaces")
-    n = len(x.coords)
-    q = x.q
-    hit = None
-    for m in range(1, t_max + 1):
-        for gamma in _shell(n, m):
-            if canonical_rep(_apply(gamma, x.coords, q), q) == y.coords:
-                hit = (m, gamma)
-                break
-        if hit:
-            break
-    return _record(x.coords, y.coords, q, hit, t_max)
+    return _dist(x, y, t_max, canonical_rep)
 
 
 def affine_points(n: int, q: int) -> list[tuple[int, ...]]:
     """All primitive vectors mod q, lexicographically ordered."""
-    out = []
-    stack = [()]
-    for _ in range(n):
-        stack = [t + (c,) for t in stack for c in range(q)]
-    for t in stack:
-        if math.gcd(q, *t) == 1:
-            out.append(t)
-    return out
+    return [t for t in product(range(q), repeat=n) if math.gcd(q, *t) == 1]
 
 
 def projective_points(n: int, q: int) -> list[tuple[int, ...]]:
@@ -153,29 +149,22 @@ def projective_points(n: int, q: int) -> list[tuple[int, ...]]:
 
 
 def _all_distances(space: str, n: int, q: int, t_max: int):
-    """min norms from every source to every target, by one shell sweep per source."""
-    projective = space == "P"
-    points = projective_points(n, q) if projective else affine_points(n, q)
-    index = {p: i for i, p in enumerate(points)}
-    norms = {}
+    """The points, and the min norms from every source to every target."""
+    if space == "P":
+        points, key = projective_points(n, q), canonical_rep
+    else:
+        points, key = affine_points(n, q), _same
+    norms = []
     for src in points:
         found: dict[tuple[int, ...], int] = {}
-        for m in range(1, t_max + 1):
-            for gamma in _shell(n, m):
-                image = _apply(gamma, src, q)
-                if projective:
-                    image = canonical_rep(image, q)
-                if image not in found:
-                    found[image] = m
+        for image, m, _ in _reach(n, q, src, t_max, key):
+            found[image] = m
             if len(found) == len(points):
                 break
-        if len(found) < len(points):
+        else:
             missing = next(p for p in points if p not in found)
-            raise BudgetExceeded(
-                f"pair ({src}, {missing}) unresolved within norm {t_max}"
-            )
-        for dst in points:
-            norms[(src, dst)] = found[dst]
+            raise BudgetExceeded(f"pair ({src}, {missing}) unresolved within norm {t_max}")
+        norms.extend(found.values())
     return points, norms
 
 
@@ -187,10 +176,12 @@ def diameter_profile(space: str, n: int, q: int, t_max: int) -> dict:
     """
     if space not in ("A", "P"):
         raise InvalidInput("space must be 'A' or 'P'")
+    if n < 1:
+        raise InvalidInput(f"need n >= 1, got {n}")
     if q < 2:
         raise InvalidInput(f"need q >= 2, got {q}")
     points, norms = _all_distances(space, n, q, t_max)
-    values = sorted(norms.values())
+    values = sorted(norms)
     total = len(values)
 
     def quantile(p: float) -> int:
@@ -198,11 +189,6 @@ def diameter_profile(space: str, n: int, q: int, t_max: int) -> dict:
 
     diameter = values[-1]
     quants = {"50": quantile(0.50), "90": quantile(0.90), "99": quantile(0.99)}
-    log_q = math.log(q)
-
-    def expo(v: int) -> float:
-        return 0.0 if v == 1 else math.log(v) / log_q
-
     return {
         "space": space,
         "n": n,
@@ -212,8 +198,8 @@ def diameter_profile(space: str, n: int, q: int, t_max: int) -> dict:
         "diameter_norm": diameter,
         "quantile_norms": quants,
         "exponents": {
-            "diameter": expo(diameter),
-            **{k: expo(v) for k, v in quants.items()},
+            "diameter": _exponent(diameter, q),
+            **{k: _exponent(v, q) for k, v in quants.items()},
         },
     }
 

@@ -12,13 +12,7 @@ import sys
 import time
 
 from . import actions, hardness, lifting, oracle, records
-from .errors import (
-    BudgetExceeded,
-    InvalidInput,
-    NotExtendableModQ,
-    SearchExhausted,
-    SlliftError,
-)
+from .errors import BudgetExceeded, InvalidInput, NotExtendableModQ, SlliftError
 from .intmat import IntMatrix, norm_report
 
 EXIT_OK = 0
@@ -110,14 +104,7 @@ def _cmd_lift(args) -> int:
             x = parse_matrix(args.matrix, args.n)
     except InvalidInput as exc:
         raise _UsageError(str(exc)) from None
-    try:
-        cert = lifting.lift(x, args.q, seed=args.seed)
-    except (InvalidInput, NotExtendableModQ) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (SearchExhausted, BudgetExceeded) as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    cert = lifting.lift(x, args.q, seed=args.seed)
     wall = int(1000 * (time.monotonic() - start))
     record = records.make_record(
         "lift",
@@ -164,19 +151,12 @@ def _cmd_hard(args) -> int:
     start = time.monotonic()
     if args.verify_oracle is not None and args.verify_oracle < 1:
         raise _UsageError(f"--verify-oracle needs T_MAX >= 1, got {args.verify_oracle}")
-    try:
-        if args.trace_family_m is not None:
-            instance = hardness.trace_family_instance(args.trace_family_m)
-        else:
-            if args.n is None or args.q is None:
-                raise _UsageError("hard needs --n and --q (or --trace-family-m)")
-            instance = hardness.hard_instance(args.q, args.n, args.budget)
-    except InvalidInput as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except SlliftError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    if args.trace_family_m is not None:
+        instance = hardness.trace_family_instance(args.trace_family_m)
+    else:
+        if args.n is None or args.q is None:
+            raise _UsageError("hard needs --n and --q (or --trace-family-m)")
+        instance = hardness.hard_instance(args.q, args.n, args.budget)
     results = _hard_results(instance)
     code = EXIT_OK
     if args.verify_oracle is not None:
@@ -222,6 +202,9 @@ def _cmd_hard(args) -> int:
 
 
 def _sweep_roots(args, point_seed):
+    if args.k < 1:
+        raise _UsageError(f"--k needs K >= 1, got {args.k}")
+
     def point(q):
         target = math.ceil(q ** (1 - 1 / args.k))
         witness = hardness.find_large_root(q, args.n, args.budget, target=target)
@@ -413,6 +396,13 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SlliftError as exc:
+        if isinstance(exc, (InvalidInput, NotExtendableModQ)):
+            code, prefix = EXIT_INFEASIBLE, "infeasible"
+        else:
+            code, prefix = EXIT_BUDGET, "budget exhausted"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,13 @@
+import math
+from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sllift.actions import (
+    DistanceRecord,
     PointA,
     PointP,
     affine_points,
@@ -16,6 +21,62 @@ from sllift.actions import (
 )
 from sllift.errors import BudgetExceeded, InvalidInput
 from sllift.oracle import EnumSpec, iter_sl
+
+
+def orbit(v, q):
+    """The unit-scaling orbit of v mod q, by trying every residue."""
+    return {tuple(u * c % q for c in v) for u in range(q) if math.gcd(u, q) == 1}
+
+
+@cache
+def naive_shell(n, m):
+    """iter_sl over the box of side m, filtered to max norm exactly m."""
+    spec = EnumSpec(n=n, caps=(m,) * n)
+    return [g for g in iter_sl(spec) if max(abs(e) for r in g for e in r) == m]
+
+
+def log_q(v, q):
+    return 0.0 if v == 1 else math.log(v) / math.log(q)
+
+
+def naive_distance(x, y, q, t_max, projective):
+    """Reference scan: the first hit of the least shell, or an unreached record."""
+    cls = (lambda v: min(orbit(v, q))) if projective else (lambda v: v)
+    target = cls(y)
+    for m in range(1, t_max + 1):
+        for g in naive_shell(len(x), m):
+            image = tuple(sum(a * b for a, b in zip(row, x)) % q for row in g)
+            if cls(image) == target:
+                return DistanceRecord(x, y, q, m, g, t_max, log_q(m, q))
+    return DistanceRecord(x, y, q, None, None, t_max, None)
+
+
+def naive_profile(space, n, q, t_max):
+    """diameter_profile's fields, from naive_distance over all ordered pairs."""
+    projective = space == "P"
+    vectors = [v for v in product(range(q), repeat=n) if math.gcd(q, *v) == 1]
+    points = sorted({min(orbit(v, q)) for v in vectors}) if projective else vectors
+    values = sorted(
+        naive_distance(x, y, q, t_max, projective).min_max_norm
+        for x, y in product(points, repeat=2)
+    )
+    total = len(values)
+    quants = {}
+    for key, p in (("50", 0.50), ("90", 0.90), ("99", 0.99)):
+        quants[key] = values[min(total - 1, max(0, math.ceil(p * total) - 1))]
+    return {
+        "space": space,
+        "n": n,
+        "q": q,
+        "size": len(points),
+        "pairs": total,
+        "diameter_norm": values[-1],
+        "quantile_norms": quants,
+        "exponents": {"diameter": log_q(values[-1], q), **{k: log_q(v, q) for k, v in quants.items()}},
+    }
+
+
+SMALL_SPACES = [(2, q) for q in range(2, 7)] + [(3, 2), (3, 3)]
 
 
 class TestPoints:
@@ -52,6 +113,19 @@ class TestCanonicalization:
                 else:
                     seen[orbit_key] = c
                 assert canonical_rep(c, q) == c  # idempotent
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200), st.integers(1, 3), st.data())
+    def test_orbit_invariance(self, q, n, data):
+        v = tuple(data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
+        assume(math.gcd(q, *v) == 1)
+        u = data.draw(st.integers(-(10**6), 10**6).filter(lambda u: math.gcd(u, q) == 1))
+        uv = tuple(u * c for c in v)
+        c = canonical_rep(v, q)
+        assert canonical_rep(uv, q) == c
+        assert canonical_rep(c, q) == c
+        assert c in orbit(v, q) and c == min(orbit(v, q))
+        assert PointP(q, uv) == PointP(q, v)
 
     def test_bad_pair_coordinate_is_fixed(self):
         for q in (4, 6, 8, 12, 16):
@@ -96,6 +170,16 @@ class TestDistances:
         assert r.min_max_norm is None and r.witness is None
         assert r.log_q_exponent is None
 
+    @pytest.mark.parametrize("n, q", SMALL_SPACES)
+    def test_records_match_naive_scan(self, n, q):
+        t_max = 8 * q
+        for x, y in product(affine_points(n, q), repeat=2):
+            got = dist_affine(PointA(q, x), PointA(q, y), t_max)
+            assert got == naive_distance(x, y, q, t_max, projective=False)
+        for x, y in product(projective_points(n, q), repeat=2):
+            got = dist_projective(PointP(q, x), PointP(q, y), t_max)
+            assert got == naive_distance(x, y, q, t_max, projective=True)
+
     def test_mismatched_spaces(self):
         with pytest.raises(InvalidInput):
             dist_affine(PointA(5, (1, 0)), PointA(7, (1, 0)), 3)
@@ -137,6 +221,17 @@ class TestDiameterProfile:
         assert diameter_profile("A", 2, 2, 10)["diameter_norm"] == 1
         assert diameter_profile("A", 2, 4, 20)["diameter_norm"] == 2
         assert diameter_profile("A", 2, 5, 30)["diameter_norm"] == 5
+
+    @pytest.mark.parametrize("space", ["A", "P"])
+    @pytest.mark.parametrize("n, q", SMALL_SPACES)
+    def test_matches_naive_profile(self, space, n, q):
+        assert diameter_profile(space, n, q, 8 * q) == naive_profile(space, n, q, 8 * q)
+
+    @pytest.mark.parametrize("space", ["A", "P"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_positive_n(self, space, n):
+        with pytest.raises(InvalidInput, match="need n >= 1"):
+            diameter_profile(space, n, 2, 16)
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):

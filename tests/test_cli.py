@@ -6,7 +6,8 @@ import os
 import jsonschema
 import pytest
 
-from sllift import cli, records
+from sllift import cli, lifting, records
+from sllift.errors import NotExtendableModQ, SearchExhausted, SlliftError
 from sllift.intmat import IntMatrix
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "record.schema.json")
@@ -95,6 +96,27 @@ class TestLiftCommand:
         gamma = json.loads(out)["results"]["gamma"]
         assert all((gamma[i][i] + 3) % 8 == 0 for i in range(2))
 
+    class _Unlisted(SlliftError):
+        pass
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (NotExtendableModQ, 2, "infeasible: "),
+            (SearchExhausted, 3, "budget exhausted: "),
+            (_Unlisted, 3, "budget exhausted: "),
+        ],
+    )
+    def test_error_type_sets_exit_code(self, capsys, monkeypatch, error, code, prefix):
+        def fail(*args, **kwargs):
+            raise error("stub failure")
+
+        monkeypatch.setattr(lifting, "lift", fail)
+        got, out, err = run(["lift", "--n", "2", "--q", "8", "--matrix", "5,0;0,5"], capsys)
+        assert got == code
+        assert out == ""
+        assert err == f"{prefix}stub failure\n"
+
 
 class TestHardCommand:
     def test_verify_oracle(self, capsys):
@@ -158,6 +180,13 @@ class TestSweeps:
             res = row["results"]
             assert pow(res["beta"], 2, row["params"]["q"]) == res["alpha"] % row["params"]["q"]
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_roots_k_below_one_is_usage_error(self, capsys, k):
+        code, out, err = run(["sweep", "roots", "--q", "5", "--k", k], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: --k needs K >= 1, got {k}\n"
+
     def test_missing_range_is_usage_error(self, capsys):
         code, _, err = run(["sweep", "roots"], capsys)
         assert code == 1
@@ -202,6 +231,14 @@ class TestSweeps:
         assert code == 0
         rows = records_from(out)
         assert [r["results"]["diameter_norm"] for r in rows] == [1, 1, 2]
+
+    def test_diameter_sweep_n_below_one_is_flagged(self, capsys):
+        code, out, err = run(["sweep", "diameter", "--space", "A", "--n", "0", "--q", "2"], capsys)
+        assert code == 3
+        assert err == ""
+        (row,) = records_from(out)
+        jsonschema.validate(row, SCHEMA)
+        assert row["results"] == {"error": "need n >= 1, got 0", "flagged": True}
 
     def test_lift_bounds_sweep(self, capsys):
         code, out, _ = run(
