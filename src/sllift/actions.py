@@ -2,26 +2,24 @@
 
 Points are primitive vectors mod q (affine) or their unit-scaling classes
 (projective); the distance between two points is the smallest max norm of an
-integer unimodular matrix carrying one to the other.  All scans walk one
-first-hit generator (``_reach``) that enumerates matrices shell by shell
-(exact max norm m = 1, 2, ...) so the first hit is the minimum.  Norms are
-stored exactly; logarithms are presentation only.
+integer unimodular matrix carrying one to the other.  All scans walk the
+matrices shell by shell (exact max norm m = 1, 2, ...), so the first hit is
+the minimum, and classify each image by lookup: a distance tests membership
+in the target's unit orbit, a profile maps every vector to its point through
+one dict built per call.  Norms are stored exactly; logarithms are
+presentation only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import product
 
 from .errors import BudgetExceeded, InvalidInput
 from .oracle import EnumSpec, iter_sl
 
-_SHELL_CACHE: dict[tuple[int, int], tuple] = {}
-
-
-@lru_cache(maxsize=256)
 def units_mod(q: int) -> tuple[int, ...]:
     return tuple(u for u in range(q) if math.gcd(u, q) == 1)
 
@@ -81,61 +79,44 @@ class DistanceRecord:
     log_q_exponent: float | None
 
 
+@cache
 def _shell(n: int, m: int) -> tuple:
-    """All SL_n(Z) matrices with max norm exactly m (cached)."""
-    key = (n, m)
-    if key not in _SHELL_CACHE:
-        spec = EnumSpec(n=n, caps=(m,) * n)
-        _SHELL_CACHE[key] = tuple(
-            g for g in iter_sl(spec) if max(abs(e) for r in g for e in r) == m
-        )
-    return _SHELL_CACHE[key]
+    """All SL_n(Z) matrices with max norm exactly m, in iter_sl order."""
+    spec = EnumSpec(n=n, caps=(m,) * n)
+    return tuple(g for g in iter_sl(spec) if max(abs(e) for r in g for e in r) == m)
 
 
 def _apply(gamma, coords, q):
     return tuple(sum(row[j] * coords[j] for j in range(len(coords))) % q for row in gamma)
 
 
-def _same(coords, q):
-    return coords
-
-
-def _reach(n: int, q: int, src, t_max: int, key):
-    """Yield (class, m, gamma) the first time gamma * src reaches each class.
-
-    Shells go in order m = 1..t_max, each in iter_sl order, so every class
-    comes with its least norm and first witness; key is _same or canonical_rep.
-    """
-    seen = set()
-    for m in range(1, t_max + 1):
-        for gamma in _shell(n, m):
-            image = key(_apply(gamma, src, q), q)
-            if image not in seen:
-                seen.add(image)
-                yield image, m, gamma
+def _shells(n: int, t_max: int):
+    """(m, gamma) over the shells m = 1..t_max, so first hits have least norm."""
+    return ((m, gamma) for m in range(1, t_max + 1) for gamma in _shell(n, m))
 
 
 def _exponent(v: int, q: int) -> float:
     return 0.0 if v == 1 else math.log(v) / math.log(q)
 
 
-def _dist(x, y, t_max, key) -> DistanceRecord:
+def _dist(x, y, t_max, targets) -> DistanceRecord:
+    """First hit of gamma * x in targets, the coordinates of y's class."""
     if x.q != y.q or len(x.coords) != len(y.coords):
         raise InvalidInput("points live in different spaces")
-    for image, m, gamma in _reach(len(x.coords), x.q, x.coords, t_max, key):
-        if image == y.coords:
+    for m, gamma in _shells(len(x.coords), t_max):
+        if _apply(gamma, x.coords, x.q) in targets:
             return DistanceRecord(x.coords, y.coords, x.q, m, gamma, t_max, _exponent(m, x.q))
     return DistanceRecord(x.coords, y.coords, x.q, None, None, t_max, None)
 
 
 def dist_affine(x: PointA, y: PointA, t_max: int) -> DistanceRecord:
     """Minimal max norm of gamma in SL_n(Z) with gamma * x = y mod q."""
-    return _dist(x, y, t_max, _same)
+    return _dist(x, y, t_max, {y.coords})
 
 
 def dist_projective(x: PointP, y: PointP, t_max: int) -> DistanceRecord:
     """Minimal max norm of gamma with gamma * x = u * y mod q for a unit u."""
-    return _dist(x, y, t_max, canonical_rep)
+    return _dist(x, y, t_max, {tuple(u * c % y.q for c in y.coords) for u in units_mod(y.q)})
 
 
 def affine_points(n: int, q: int) -> list[tuple[int, ...]]:
@@ -150,15 +131,13 @@ def projective_points(n: int, q: int) -> list[tuple[int, ...]]:
 
 def _all_distances(space: str, n: int, q: int, t_max: int):
     """The points, and the min norms from every source to every target."""
-    if space == "P":
-        points, key = projective_points(n, q), canonical_rep
-    else:
-        points, key = affine_points(n, q), _same
+    point_of = {v: canonical_rep(v, q) if space == "P" else v for v in affine_points(n, q)}
+    points = sorted(set(point_of.values()))
     norms = []
     for src in points:
         found: dict[tuple[int, ...], int] = {}
-        for image, m, _ in _reach(n, q, src, t_max, key):
-            found[image] = m
+        for m, gamma in _shells(n, t_max):
+            found.setdefault(point_of[_apply(gamma, src, q)], m)
             if len(found) == len(points):
                 break
         else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InvalidInput, NoUnitAlpha, SieveExhausted, TooManyRoots
@@ -128,16 +128,7 @@ def find_large_root(
     if best is None:
         raise NoUnitAlpha(f"no unit alpha within budget {alpha_budget} mod {modulus}")
     if target is not None and best_score < target:
-        return RootWitness(
-            modulus=best.modulus,
-            n=best.n,
-            alpha=best.alpha,
-            beta=best.beta,
-            abs_alpha=best.abs_alpha,
-            abs_n_beta=best.abs_n_beta,
-            flagged=True,
-            degenerate=best.degenerate,
-        )
+        return replace(best, flagged=True)
     return best
 
 

@@ -21,7 +21,6 @@ non-negative first rows are enumerated, each weighted by its orbit size.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -255,8 +254,10 @@ def iter_lifts(x: IntMatrix, q: int, cap: int, budget: int | None = None):
 def min_lift_norm(x: IntMatrix, q: int, t_max: int, budget: int | None = None) -> int | None:
     """Least T <= t_max admitting a lift of x mod q with max norm <= T.
 
-    T grows over the achievable residue-ladder values, doubling until a lift
-    appears and then bisecting; returns None when no lift exists by t_max.
+    T starts at the least value every entry's residue ladder reaches and
+    doubles until a lift appears; then it bisects over the achievable ladder
+    values in that last doubling window, so memory follows the answer, not
+    t_max.  Returns None when no lift exists by t_max.
     """
     n = x.nrows
     if x.ncols != n:
@@ -270,32 +271,22 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int, budget: int | None = None) -
     if intmat.det(x) % q != 1 % q:
         raise InvalidInput("x must have det = 1 mod q")
 
-    achievable = set()
-    t_low = 0
-    for i in range(n):
-        for j in range(n):
-            lad = _ladder(x.rows[i][j], q, t_max)
-            if len(lad) == 0:
-                return None
-            entry_vals = {abs(v) for v in lad}
-            achievable |= entry_vals
-            t_low = max(t_low, min(entry_vals))
-    steps = sorted(v for v in achievable if v >= max(t_low, 1))
-    if not steps:
+    residues = {v % q for row in x.rows for v in row}
+    t = max(min(r, q - r) for r in residues)  # the least T every entry reaches
+    if t > t_max:
         return None
 
     def exists(t: int) -> bool:
         spec = EnumSpec(n=n, caps=(t,) * n, q=q, x=x.rows)
         return exists_sl(spec, budget)
 
-    t = steps[0]
     if exists(t):
         return t
     while t < t_max:
         t_next = min(2 * t, t_max)
         if exists(t_next):
-            lo = bisect.bisect_right(steps, t)
-            hi = bisect.bisect_right(steps, t_next) - 1
+            steps = sorted({abs(v) for r in residues for v in _ladder(r, q, t_next) if abs(v) > t})
+            lo, hi = 0, len(steps) - 1
             while lo < hi:
                 mid = (lo + hi) // 2
                 if exists(steps[mid]):

@@ -76,7 +76,8 @@ def naive_profile(space, n, q, t_max):
     }
 
 
-SMALL_SPACES = [(2, q) for q in range(2, 7)] + [(3, 2), (3, 3)]
+# q = 8 and 9 have 4 and 6 units, so projective targets are real orbits
+SMALL_SPACES = [(2, q) for q in range(2, 7)] + [(2, 8), (2, 9), (3, 2), (3, 3)]
 
 
 class TestPoints:
@@ -234,8 +235,10 @@ class TestDiameterProfile:
             diameter_profile(space, n, 2, 16)
 
     def test_budget_exceeded(self):
-        with pytest.raises(BudgetExceeded):
-            diameter_profile("A", 2, 5, 1)
+        for space, pair in (("A", "((0, 1), (0, 2))"), ("P", "((0, 1), (1, 2))")):
+            with pytest.raises(BudgetExceeded) as exc:
+                diameter_profile(space, 2, 5, 1)
+            assert str(exc.value) == f"pair {pair} unresolved within norm 1"
 
     def test_quantiles_are_ordered(self):
         p = diameter_profile("P", 2, 8, 64)

@@ -52,6 +52,12 @@ class TestFindLargeRoot:
         w = find_large_root(5, 2, 16, target=3)
         assert w.flagged
         assert w.abs_n_beta == 2  # |2*beta| <= 2 for every unit beta mod 5
+        assert w.method == "search"
+        for n in (1, 2):
+            full = find_large_root(5, n, 16)
+            flagged = find_large_root(5, n, 16, target=3)
+            assert flagged.flagged and not full.flagged
+            assert flagged.degenerate == full.degenerate == (n == 1)
 
     def test_early_stop_matches_full_scan(self):
         full = find_large_root(101, 2, 8)

@@ -1,12 +1,15 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sllift import oracle
 from sllift.errors import BudgetExceeded, InvalidInput
+from sllift.hardness import hard_instance, trace_family_instance
 from sllift.intmat import IntMatrix, adjugate_mod
 from sllift.lifting import lift, random_sl_matrix
 from sllift.oracle import (
@@ -43,6 +46,43 @@ def brute_force(spec):
         if _det(g) == 1:
             out.append(g)
     return out
+
+
+def full_range_schedule(x, q, t_max, exists):
+    """(answer, probed T) of the doubling-then-bisection schedule, with the
+    bisection run over every achievable ladder value up to t_max."""
+    achievable, t_low = set(), 0
+    for row in x.rows:
+        for v in row:
+            values = {abs(w) for w in range(-t_max + (v + t_max) % q, t_max + 1, q)}
+            if not values:
+                return None, []
+            achievable |= values
+            t_low = max(t_low, min(values))
+    steps = sorted(v for v in achievable if v >= max(t_low, 1))
+    probes = []
+
+    def probe(t):
+        probes.append(t)
+        return exists(t)
+
+    t = steps[0]
+    if probe(t):
+        return t, probes
+    while t < t_max:
+        t_next = min(2 * t, t_max)
+        if probe(t_next):
+            window = [v for v in steps if t < v <= t_next]
+            lo, hi = 0, len(window) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if probe(window[mid]):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return window[lo], probes
+        t = t_next
+    return None, probes
 
 
 class TestEnumSpec:
@@ -218,6 +258,37 @@ class TestMinLiftNorm:
 
     def test_modulus_one(self):
         assert min_lift_norm(IntMatrix([[0, 0], [0, 0]]), 1, 10) == 1
+
+    def test_memory_follows_answer_not_t_max(self):
+        tracemalloc.start()
+        try:
+            assert min_lift_norm(IntMatrix.identity(2), 1009, 10**8) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_probes_match_full_range_schedule(self, monkeypatch):
+        # the search benchmark's classes: hard instances and the trace family
+        classes = [(hard_instance(q, 2).x, q, 4 * q * q) for q in range(8, 61)]
+        for m in (1, 2, 3, 4):
+            inst = trace_family_instance(m)
+            classes.append((inst.x, inst.q, 2 * inst.q**2))
+        probes = []
+
+        def counting_exists(spec, budget=None):
+            probes.append(spec.caps[0])
+            return exists_sl(spec, budget)
+
+        monkeypatch.setattr(oracle, "exists_sl", counting_exists)
+        for x, q, t_max in classes:
+            probes.clear()
+            got = min_lift_norm(x, q, t_max)
+            n = x.nrows
+            expected = full_range_schedule(
+                x, q, t_max, lambda t: exists_sl(EnumSpec(n=n, caps=(t,) * n, q=q, x=x.rows))
+            )
+            assert (got, probes) == expected, q
 
 
 class TestNormCountTable:
