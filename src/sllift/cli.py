@@ -149,6 +149,8 @@ def _hard_results(instance: hardness.HardInstance) -> dict:
 
 def _cmd_hard(args) -> int:
     start = time.monotonic()
+    if args.budget < 1:
+        raise _UsageError(f"--budget needs B >= 1, got {args.budget}")
     if args.verify_oracle is not None and args.verify_oracle < 1:
         raise _UsageError(f"--verify-oracle needs T_MAX >= 1, got {args.verify_oracle}")
     if args.trace_family_m is not None:
@@ -204,6 +206,8 @@ def _cmd_hard(args) -> int:
 def _sweep_roots(args, point_seed):
     if args.k < 1:
         raise _UsageError(f"--k needs K >= 1, got {args.k}")
+    if args.budget < 1:
+        raise _UsageError(f"--budget needs B >= 1, got {args.budget}")
 
     def point(q):
         target = math.ceil(q ** (1 - 1 / args.k))

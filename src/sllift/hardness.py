@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import InvalidInput, NoUnitAlpha, SieveExhausted, TooManyRoots
@@ -39,24 +39,29 @@ class RootWitness:
 
     modulus is q^2 when the witness feeds a diagonal instance for level q,
     but any modulus is allowed.  flagged marks a best-effort witness that
-    missed its search target; degenerate marks the collapsed n = 1 case.
+    missed its search target.  abs_alpha = |alpha|, abs_n_beta = |n*beta|
+    (signed representatives) and degenerate (the collapsed n = 1 case) are
+    derived from the other fields.
     """
 
     modulus: int
     n: int
     alpha: Residue
     beta: Residue
-    abs_alpha: int
-    abs_n_beta: int
     flagged: bool = False
-    degenerate: bool = False
     method: str = "search"
+    abs_alpha: int = field(init=False)
+    abs_n_beta: int = field(init=False)
+    degenerate: bool = field(init=False)
 
     def __post_init__(self):
         if pow(self.beta.value, self.n, self.modulus) != self.alpha.value:
             raise ValueError("beta^n != alpha")
         if math.gcd(self.beta.value, self.modulus) != 1:
             raise ValueError("beta is not a unit")
+        object.__setattr__(self, "abs_alpha", self.alpha.abs())
+        object.__setattr__(self, "abs_n_beta", abs(signed(self.n * self.beta.value, self.modulus)))
+        object.__setattr__(self, "degenerate", self.n == 1)
 
 
 @dataclass(frozen=True)
@@ -114,15 +119,7 @@ def find_large_root(
                 score = abs(signed(n * beta.value, modulus))
                 if score > best_score:
                     best_score = score
-                    best = RootWitness(
-                        modulus=modulus,
-                        n=n,
-                        alpha=alpha,
-                        beta=beta,
-                        abs_alpha=alpha.abs(),
-                        abs_n_beta=score,
-                        degenerate=(n == 1),
-                    )
+                    best = RootWitness(modulus=modulus, n=n, alpha=alpha, beta=beta)
         if target is not None and best is not None and best_score >= target:
             return best
     if best is None:
@@ -154,33 +151,28 @@ def small_p_factor_root(q: int, n: int, k: int) -> RootWitness | None:
             if a.value == 1:
                 continue
             beta = crt([(1, cofactor), (a.value, pm)])
-            score = abs(signed(n * beta.value, q))
-            if best is None or score > best.abs_n_beta or (
-                score == best.abs_n_beta and beta.value < best.beta.value
+            witness = RootWitness(q, n, Residue(1, q), beta, method="small_p_factor")
+            if best is None or witness.abs_n_beta > best.abs_n_beta or (
+                witness.abs_n_beta == best.abs_n_beta and beta.value < best.beta.value
             ):
-                best = RootWitness(
-                    modulus=q,
-                    n=n,
-                    alpha=Residue(1, q),
-                    beta=beta,
-                    abs_alpha=1,
-                    abs_n_beta=score,
-                    degenerate=(n == 1),
-                    method="small_p_factor",
-                )
+                best = witness
     return best
 
 
 def _int_nth_root(x: int, n: int) -> int:
-    """Floor of the n-th root of x >= 0."""
+    """Floor of the n-th root of x >= 0, by exact integer Newton iteration.
+
+    The start 2^ceil(bits(x)/n) lies above the root, and each step stays at
+    or above the floor while it decreases, so the first non-decrease is it.
+    """
     if x < 2:
         return x
-    r = int(round(x ** (1.0 / n)))
-    while r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def is_rational_nth_power(num: int, den: int, n: int) -> bool:
@@ -264,13 +256,12 @@ def hard_instance(q: int, n: int, alpha_budget: int = DEFAULT_ALPHA_BUDGET) -> H
     if n < 1:
         raise InvalidInput(f"need n >= 1, got {n}")
     m2 = q * q
-    witness = find_large_root(m2, n, alpha_budget)
-    other = small_p_factor_root(m2, n, 2)
-    if other is not None:
-        claimed = Fraction(witness.abs_n_beta, n * witness.abs_alpha)
-        other_claim = Fraction(other.abs_n_beta, n * other.abs_alpha)
-        if other_claim > claimed:
-            witness = other
+    candidates = (find_large_root(m2, n, alpha_budget), small_p_factor_root(m2, n, 2))
+    # max keeps the first of equal claims, so ties go to the searched root
+    bound, witness = max(
+        ((Fraction(w.abs_n_beta, n * w.abs_alpha), w) for w in candidates if w is not None),
+        key=lambda claim: claim[0],
+    )
     x = _diagonal_instance(q, n, witness)
     if det(x) % q != 1 % q:
         raise AssertionError("diagonal instance lost determinant 1")
@@ -279,7 +270,7 @@ def hard_instance(q: int, n: int, alpha_budget: int = DEFAULT_ALPHA_BUDGET) -> H
         n=n,
         witness=witness,
         x=x,
-        lower_bound=Fraction(witness.abs_n_beta, n * witness.abs_alpha),
+        lower_bound=bound,
     )
 
 
@@ -295,15 +286,7 @@ def trace_family_instance(m: int) -> HardInstance:
     m2 = q * q
     beta = Residue(1 + 4 * m, m2)
     alpha = beta**2
-    witness = RootWitness(
-        modulus=m2,
-        n=2,
-        alpha=alpha,
-        beta=beta,
-        abs_alpha=alpha.abs(),
-        abs_n_beta=abs(signed(2 * beta.value, m2)),
-        method="trace_family",
-    )
+    witness = RootWitness(m2, 2, alpha, beta, method="trace_family")
     x = IntMatrix([[(1 - 4 * m) % q, 0], [0, (1 + 4 * m) % q]])
     if det(x) % q != 1 % q:
         raise AssertionError("trace family instance lost determinant 1")

@@ -156,15 +156,19 @@ def maximal_minors(b: IntMatrix) -> tuple[int, ...]:
 
     Signs are fixed so det(stack(B, v)) = <v, c> for every row vector v,
     i.e. c_i = (-1)^(n+i) det(B with column i deleted), i counted from 1.
+    These are the last-row cofactors of stack(B, r) for any r, so c is
+    adj(stack(B, e_j)) e_n, one elimination once c_j != 0.  j runs down
+    from n; when every c_j vanishes B is rank-deficient and c = 0.
     """
     n = b.ncols
     if b.nrows != n - 1:
         raise BadShape(f"need (n-1) x n, got {b.nrows}x{b.ncols}")
-    out = []
-    for j in range(n):
-        d = _eliminate([r[:j] + r[j + 1 :] for r in b.rows])[0]
-        out.append(d if (n + j + 1) % 2 == 0 else -d)
-    return tuple(out)
+    e_n = [(0,)] * (n - 1) + [(1,)]
+    for j in reversed(range(n)):
+        d, x = _eliminate(b.rows + (tuple(int(k == j) for k in range(n)),), e_n)
+        if d:
+            return tuple(v for (v,) in x)
+    return (0,) * n
 
 
 def solve_mod(a: IntMatrix, w, q: int) -> tuple[int, ...]:

@@ -96,14 +96,10 @@ def _ladders(spec: EnumSpec):
 
 
 def candidate_count(spec: EnumSpec) -> int:
-    """Size of the free-entry candidate space (all entries but the solved one)."""
+    """Number of fixed parts the kernel walks: the product of the ladder
+    sizes of every entry except the last two of the last row, which it solves."""
     lads = _ladders(spec)
-    total = 1
-    for i in range(spec.n):
-        for j in range(spec.n):
-            if (i, j) != (spec.n - 1, spec.n - 1):
-                total *= len(lads[i][j])
-    return total
+    return math.prod(map(len, chain(*lads[:-1], lads[-1][:-2])))
 
 
 def _check_budget(spec: EnumSpec, budget: int | None) -> int:

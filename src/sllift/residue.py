@@ -1,5 +1,9 @@
 """Exact modular arithmetic: signed representatives, factorization, CRT,
 and complete n-th root extraction for moduli with small prime factors.
+
+n-th roots are found per prime power p^e of the modulus: an exhaustive unit
+scan mod p, then one closed-form Hensel step per level up to p^e, then CRT.
+Each modulus is factorized once per process (factorize is cached).
 """
 
 from __future__ import annotations
@@ -165,6 +169,7 @@ def _rho_factor(n: int, rng: random.Random) -> int:
             return g
 
 
+@lru_cache(maxsize=1 << 12)
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of m >= 1 as ((p1, e1), ...) with p1 < p2 < ...
 
@@ -232,34 +237,33 @@ def crt(congruences) -> Residue:
 
 
 @lru_cache(maxsize=1 << 16)
-def _unit_scan_roots(alpha_p: int, n: int, p: int) -> tuple[int, ...]:
-    """All beta in (Z/pZ)^x with beta^n = alpha_p, by exhaustive scan."""
-    return tuple(b for b in range(1, p) if pow(b, n, p) == alpha_p)
-
-
-@lru_cache(maxsize=1 << 16)
 def _prime_power_roots(alpha: int, n: int, p: int, e: int) -> tuple[int, ...]:
-    """All n-th roots of alpha among units mod p^e.
+    """All n-th roots of alpha among units mod p^e; callers reduce alpha mod p^e.
 
-    Roots mod p come from the exhaustive unit scan; each root mod p^j is
-    extended over the p candidates mod p^(j+1).  Every solution mod p^(j+1)
-    reduces to one mod p^j, so the tree is complete and the result exact.
+    Roots mod p come from an exhaustive unit scan.  A root b mod p^j extends
+    by Hensel's step: with f(x) = x^n - alpha, f(b + t p^j) = f(b) +
+    t d p^j mod p^(j+1), where d = n b^(n-1).  So with r = (alpha - b^n)/p^j
+    mod p, a nonzero d mod p admits exactly t = r/d, while d = 0 (p | n)
+    admits every t when r = 0 and none otherwise.  Every root mod p^(j+1)
+    reduces to one mod p^j, so the result is exact.
     """
     if p > PRIME_SCAN_BOUND:
         raise PrimeTooLarge(f"prime {p} exceeds scan bound {PRIME_SCAN_BOUND}")
-    cur = list(_unit_scan_roots(alpha % p, n, p))
-    mod = p
+    alpha_p = alpha % p
+    roots = [b for b in range(1, p) if pow(b, n, p) == alpha_p]
+    pj = p
     for _ in range(e - 1):
-        nxt_mod = mod * p
-        a = alpha % nxt_mod
-        cur = [
-            b + t * mod
-            for b in cur
-            for t in range(p)
-            if pow(b + t * mod, n, nxt_mod) == a
-        ]
-        mod = nxt_mod
-    return tuple(sorted(cur))
+        lifted = []
+        for b in roots:
+            r = (alpha - pow(b, n, pj * p)) // pj % p
+            d = n * pow(b, n - 1, p) % p
+            if d:
+                lifted.append(b + r * pow(d, -1, p) % p * pj)
+            elif r == 0:
+                lifted.extend(range(b, pj * p, pj))
+        roots = lifted
+        pj *= p
+    return tuple(sorted(roots))
 
 
 def nth_roots(a: Residue, n: int, limit: int | None = None) -> tuple[Residue, ...]:
@@ -279,29 +283,32 @@ def nth_roots(a: Residue, n: int, limit: int | None = None) -> tuple[Residue, ..
     components = []
     count = 1
     for p, e in factorize(m):
-        roots = _prime_power_roots(a.value, n, p, e)
+        pe = p**e
+        roots = _prime_power_roots(a.value % pe, n, p, e)
         if not roots:
             return ()
         count *= len(roots)
         if limit is not None and count > limit:
             raise TooManyRoots(f"root count {count} exceeds cap {limit}")
-        components.append((p**e, roots))
+        components.append((pe, roots))
     # precomputed CRT idempotents: E_i = 1 mod p_i^e_i, 0 mod the rest
     idempotents = []
     for pe, _ in components:
         rest = m // pe
         idempotents.append(rest * pow(rest, -1, pe) % m)
-    values = set()
-    for combo in _cartesian(*(roots for _, roots in components)):
-        values.add(sum(r * e for r, e in zip(combo, idempotents)) % m)
-    return tuple(Residue(v, m) for v in sorted(values))
+    # CRT is a bijection, so the combined roots are distinct
+    values = sorted(
+        sum(r * e for r, e in zip(combo, idempotents)) % m
+        for combo in _cartesian(*(roots for _, roots in components))
+    )
+    return tuple(Residue(v, m) for v in values)
 
 
 def is_nth_power_residue(a: Residue, n: int) -> bool:
     """Whether a is in (Z/mZ)^xn, decided per prime power of m.
 
     For odd p the cyclic-group criterion a^(phi/g) = 1 with g = gcd(n, phi)
-    applies; for p = 2 the lifting tree decides existence directly.
+    applies; for p = 2 the root set from _prime_power_roots decides it.
     """
     m = a.modulus
     if math.gcd(a.value, m) != 1:

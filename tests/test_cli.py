@@ -153,6 +153,13 @@ class TestHardCommand:
         assert err.startswith("usage error: ") and "--verify-oracle" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_usage_error(self, capsys, budget):
+        code, out, err = run(["hard", "--n", "2", "--q", "8", "--budget", budget], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: --budget needs B >= 1, got {budget}\n"
+
     def test_prime_too_large_is_budget_exit(self, capsys):
         # 1000003 is a prime above the residue scan bound (PrimeTooLarge)
         code, out, err = run(["hard", "--n", "2", "--q", "1000003"], capsys)
@@ -186,6 +193,13 @@ class TestSweeps:
         assert code == 1
         assert out == ""
         assert err == f"usage error: --k needs K >= 1, got {k}\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_roots_budget_below_one_is_usage_error(self, capsys, budget):
+        code, out, err = run(["sweep", "roots", "--q", "2..20", "--budget", budget], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: --budget needs B >= 1, got {budget}\n"
 
     def test_missing_range_is_usage_error(self, capsys):
         code, _, err = run(["sweep", "roots"], capsys)

@@ -6,6 +6,7 @@ import pytest
 from sllift.errors import InvalidInput, SieveExhausted
 from sllift.hardness import (
     RootWitness,
+    _int_nth_root,
     find_large_root,
     hard_instance,
     is_rational_nth_power,
@@ -74,7 +75,7 @@ class TestFindLargeRoot:
 
     def test_witness_validation(self):
         with pytest.raises(ValueError):
-            RootWitness(15, 2, Residue(4, 15), Residue(3, 15), 4, 6)
+            RootWitness(15, 2, Residue(4, 15), Residue(3, 15))
 
     def test_root_cap_skips_alpha(self):
         # alpha = 1 mod 3*5*7*11*13 has 32 square roots; with the cap at 16
@@ -144,6 +145,36 @@ class TestSmallNthPowers:
             for alpha, beta, alpha_int in pairs:
                 assert alpha_int % q == alpha.value
                 assert pow(beta.value, 3, q) == alpha.value
+
+    def test_exponent_beyond_float_range(self):
+        # alpha_int = p^400 has over 400 bits, past any float root
+        pairs = small_nth_powers(11, 400, 2)
+        assert len(pairs) == 2
+        for alpha, beta, alpha_int in pairs:
+            assert alpha_int % 11 == alpha.value
+            assert pow(beta.value, 400, 11) == alpha.value
+        assert not is_rational_nth_power(pairs[0][2], pairs[1][2], 400)
+
+
+class TestIntNthRoot:
+    @staticmethod
+    def check(x, n):
+        r = _int_nth_root(x, n)
+        assert r**n <= x < (r + 1) ** n, (x, n)
+        return r
+
+    def test_beyond_float_range(self):
+        for n in (1, 2, 3, 7, 400, 1329, 2000):
+            self.check(10**400, n)
+        assert self.check(10**400, 2) == 10**200
+        assert self.check(10**400, 400) == 10
+
+    def test_at_exact_powers(self):
+        for n in (1, 2, 3, 5, 11):
+            for k in (2, 3, 10, 2**26 + 1, 3**30, 2**53 + 1, 2**70 - 1, 2**70):
+                assert self.check(k**n, n) == k
+                assert self.check(k**n - 1, n) == (k - 1 if n > 1 else k**n - 1)
+                assert self.check(k**n + 1, n) == (k if n > 1 else k**n + 1)
 
 
 class TestEmpiricalLargeRoots:

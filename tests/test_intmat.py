@@ -139,6 +139,27 @@ class TestMaximalMinors:
             c = maximal_minors(b)
             assert det(b.with_row(v)) == sum(x * y for x, y in zip(v, c))
 
+    def test_matches_deleted_column_determinants(self):
+        # the definition, one determinant per deleted column, on matrices
+        # where the last minors vanish or the rows are dependent
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randrange(2, 7)
+            rows = [list(r) for r in rand_matrix(rng, n - 1, n, rng.choice([1, 3, 10**6])).rows]
+            shape = rng.randrange(4)
+            if shape == 1:  # zero columns, so the first tried minors vanish
+                for r in rows:
+                    r[n - 1] = 0
+                    r[rng.randrange(n)] = 0
+            elif shape == 2 and n > 2:  # dependent rows
+                rows[0] = [rng.randrange(-3, 4) * v for v in rows[-1]]
+            b = IntMatrix(rows)
+            expected = tuple(
+                (-1) ** (n + i + 1) * det(IntMatrix([r[:i] + r[i + 1 :] for r in rows]))
+                for i in range(n)
+            )
+            assert maximal_minors(b) == expected, rows
+
 
 class TestSolveMod:
     def test_examples(self):

@@ -324,8 +324,18 @@ class TestSkewedCounts:
         assert min(ratios) > 0
 
     def test_candidate_count(self):
-        spec = EnumSpec(n=2, caps=(2, 4))
-        assert candidate_count(spec) == 5 * 5 * 9
+        # fixed parts the kernel walks: all entries but the last row's last two
+        assert candidate_count(EnumSpec(n=2, caps=(2, 4))) == 5 * 5
+        assert candidate_count(EnumSpec(n=3, caps=(1, 2, 3))) == 3**3 * 5**3 * 7
+        assert candidate_count(EnumSpec(n=1, caps=(4,))) == 1
+
+    @pytest.mark.parametrize("t", [1, 3, 10])
+    def test_budget_is_exact_in_fixed_parts(self, t):
+        spec = EnumSpec(n=2, caps=(t, t))
+        limit = (2 * t + 1) ** 2
+        assert count_sl(spec, budget=limit) == count_sl(spec)
+        with pytest.raises(BudgetExceeded, match=f"candidate space {limit} exceeds budget {limit - 1}"):
+            count_sl(spec, budget=limit - 1)
 
     def test_exists_matches_count(self):
         rng = random.Random(23)

@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sllift.errors import NotCoprime, NotUnit, PrimeTooLarge, TooManyRoots
 from sllift.residue import (
     Residue,
+    _prime_power_roots,
     abs_value,
     crt,
     ext_gcd,
@@ -21,6 +24,36 @@ from sllift.residue import (
 def brute_roots(alpha, n, m):
     """Independent oracle: scan every unit mod m."""
     return sorted(b for b in range(m) if math.gcd(b, m) == 1 and pow(b, n, m) == alpha % m)
+
+
+def tree_roots(alpha, n, p, e):
+    """Reference: extend each root mod p^j over all p candidates mod p^(j+1)."""
+    cur = [b for b in range(1, p) if pow(b, n, p) == alpha % p]
+    mod = p
+    for _ in range(e - 1):
+        nxt_mod = mod * p
+        a = alpha % nxt_mod
+        cur = [b + t * mod for b in cur for t in range(p) if pow(b + t * mod, n, nxt_mod) == a]
+        mod = nxt_mod
+    return tuple(sorted(cur))
+
+
+@st.composite
+def prime_power_cases(draw):
+    """(alpha, n, p, e) with alpha a unit mod p^e, often a perfect power."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 31]))
+    e = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    pe = p**e
+    unit = draw(st.integers(1, pe - 1).filter(lambda u: u % p))
+    power = draw(st.sampled_from([1, n, 2 * n, draw(st.integers(1, 12))]))
+    return pow(unit, power, pe), n, p, e
+
+
+@pytest.fixture(scope="module")
+def nthroot_mod():
+    """sympy's root finder as an independent oracle; sympy is test-only."""
+    return pytest.importorskip("sympy.ntheory").nthroot_mod
 
 
 class TestSignedLift:
@@ -128,6 +161,30 @@ class TestNthRoots:
 
     def test_trivial_modulus(self):
         assert nth_roots(Residue(0, 1), 3) == (Residue(0, 1),)
+
+    @given(prime_power_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_hensel_matches_candidate_tree(self, case):
+        assert _prime_power_roots(*case) == tree_roots(*case)
+
+    def test_hensel_cases_where_p_divides_n(self):
+        # d = n b^(n-1) vanishes mod p: every t or none extends a root
+        assert _prime_power_roots(1, 2, 2, 5) == tree_roots(1, 2, 2, 5) == (1, 15, 17, 31)
+        assert _prime_power_roots(3, 2, 2, 5) == ()
+        assert _prime_power_roots(1, 3, 3, 3) == tree_roots(1, 3, 3, 3) == (1, 10, 19)
+        assert _prime_power_roots(8, 3, 3, 3) == tree_roots(8, 3, 3, 3) == (2, 11, 20)
+        assert _prime_power_roots(2, 3, 3, 3) == ()
+
+    @given(
+        st.sampled_from(small_primes(2000)),
+        st.integers(1, 12),
+        st.integers(1, 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sympy_at_primes(self, nthroot_mod, p, n, seed):
+        a = seed % (p - 1) + 1 if p > 2 else 1
+        got = [r.value for r in nth_roots(Residue(a, p), n)]
+        assert got == sorted(nthroot_mod(a, n, p, all_roots=True)), (a, n, p)
 
 
 class TestIsNthPowerResidue:
