@@ -1,13 +1,15 @@
 """Command-line surface: lift, hard, and sweep subcommands.
 
-Exit codes: 0 success, 1 usage or parse error, 2 verified-infeasible input,
-3 search or enumeration budget exhausted.
+Exit codes: 0 success, 1 usage or parse error (or stdout closed by its
+reader), 2 verified-infeasible input, 3 search or enumeration budget
+exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -210,7 +212,8 @@ def _sweep_roots(args, point_seed):
         raise _UsageError(f"--budget needs B >= 1, got {args.budget}")
 
     def point(q):
-        target = math.ceil(q ** (1 - 1 / args.k))
+        # exact ceil(q^((k-1)/k)): the least t with t^k >= q^(k-1)
+        target = hardness._int_nth_root(q ** (args.k - 1) - 1, args.k) + 1
         witness = hardness.find_large_root(q, args.n, args.budget, target=target)
         other = hardness.small_p_factor_root(q, args.n, args.k)
         if other is not None and other.abs_n_beta > witness.abs_n_beta:
@@ -396,7 +399,13 @@ def main(argv=None) -> int:
             oracle.current_budget()
         except InvalidInput as exc:
             raise _UsageError(str(exc)) from None
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # reader gone (`| head`): send the exit-time flush to devnull too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

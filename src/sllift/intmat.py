@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 from .errors import BadShape, DependentRows, NotInvertible, NotSquare
 
+# Power iteration in op_norm_estimate stops at this relative change or count.
+_OP_NORM_TOL = 1e-9
+_OP_NORM_MAX_ITER = 10000
+
 
 class IntMatrix:
     """Immutable dense matrix with arbitrary-precision integer entries."""
@@ -216,7 +220,7 @@ def size_reduce(v, b: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-def op_norm_estimate(m: IntMatrix, tol: float = 1e-9, max_iter: int = 10000) -> float:
+def op_norm_estimate(m: IntMatrix) -> float:
     """Largest singular value by power iteration on A^T A (informational).
 
     Started from the basis vector of the column holding the largest entry,
@@ -238,12 +242,12 @@ def op_norm_estimate(m: IntMatrix, tol: float = 1e-9, max_iter: int = 10000) -> 
     )[1]
     v = [1.0 if j == j_star else 0.0 for j in range(nc)]
     last = 0.0
-    for _ in range(max_iter):
+    for _ in range(_OP_NORM_MAX_ITER):
         w = [sum(a[i][j] * v[j] for j in range(nc)) for i in range(nr)]
         u = [sum(a[i][j] * w[i] for i in range(nr)) for j in range(nc)]
         nv = math.sqrt(sum(x * x for x in v))
         sigma = math.sqrt(sum(x * x for x in w)) / nv
-        if abs(sigma - last) <= tol * max(sigma, 1.0):
+        if abs(sigma - last) <= _OP_NORM_TOL * max(sigma, 1.0):
             last = max(last, sigma)
             break
         last = max(last, sigma)

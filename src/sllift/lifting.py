@@ -1,9 +1,10 @@
 """Constructive lifting of SL_n(Z/qZ) elements to SL_n(Z).
 
 Pipeline: lift the first n-1 rows so they extend to an integer unimodular
-matrix (randomized search with a CRT-based deterministic fallback), complete
-with a short last row via extended gcd plus size reduction, then correct the
-last row modulo q using row-combination coefficients solved mod q.
+matrix (the first extendable candidate of one stream: the signed lift,
+random offsets, then a CRT-based fallback), complete with a short last row
+via extended gcd plus size reduction, then correct the last row modulo q
+using row-combination coefficients solved mod q.
 """
 
 from __future__ import annotations
@@ -44,94 +45,74 @@ def is_extendable(b: IntMatrix) -> bool:
     return reduce(math.gcd, intmat.maximal_minors(b)) == 1
 
 
-def _signed_rows(a: IntMatrix, q: int):
-    return [[signed(x, q) for x in row] for row in a.rows]
+def _row_candidates(base: list[list[int]], q: int, seed: int):
+    """Row lifts congruent to base mod q, in search order.
 
-
-def _lift_rows_searched(
-    a: IntMatrix, q: int, seed: int, growth_c: float
-) -> tuple[IntMatrix, tuple[int, ...], int]:
-    """Row lift returning (B, maximal_minors(B), trials_used)."""
-    if q < 1:
-        raise InvalidInput(f"need q >= 1, got {q}")
-    base = _signed_rows(a, q)
-    rows = len(base)
-    cols = len(base[0])
-
-    # zero offset first: the common case needs no perturbation at all, and
-    # its minors are those of every lift mod q
-    b = IntMatrix(base)
-    minors = intmat.maximal_minors(b)
-    g = reduce(math.gcd, minors)
-    if math.gcd(g, q) != 1:
-        raise NotExtendableModQ(f"row minors share a factor with q={q}")
-    trials = 1
-    if g == 1:
-        return b, minors, trials
-
-    def accept(b):
-        """b's minors if b extends to SL_n(Z), else None."""
-        minors = intmat.maximal_minors(b)
-        return minors if reduce(math.gcd, minors) == 1 else None
-
+    First base itself: the common case needs no perturbation, and its minors
+    are those of every lift mod q.  Then base + qX with X uniform in [0, M)
+    for M = 2, 4, ... up to bound = DEFAULT_GROWTH_C * log2(q+2),
+    _TRIES_PER_LEVEL draws per level.  Then the deterministic fallback: for
+    each cutoff K, base shifted to the top of the identity modulo every
+    prime p < K not dividing q (which makes the leading minor a unit mod
+    those primes), plus step*Y with step = q * (product of those primes) and
+    Y uniform in [0, bound), _FALLBACK_TRIES draws each.
+    """
+    yield IntMatrix(base)
     rng = random.Random(seed)
-    bound = max(2, math.ceil(growth_c * math.log2(q + 2)))
+    bound = max(2, math.ceil(DEFAULT_GROWTH_C * math.log2(q + 2)))
+
+    def draws(origin, step, width, tries):
+        for _ in range(tries):
+            yield IntMatrix([[x + step * rng.randrange(width) for x in row] for row in origin])
+
     level = 2
     while True:
-        for _ in range(_TRIES_PER_LEVEL):
-            trials += 1
-            b = IntMatrix(
-                [[base[i][j] + q * rng.randrange(level) for j in range(cols)] for i in range(rows)]
-            )
-            minors = accept(b)
-            if minors is not None:
-                return b, minors, trials
+        yield from draws(base, q, level, _TRIES_PER_LEVEL)
         if level >= bound:
             break
         level = min(2 * level, bound)
-
-    # Deterministic fallback: make the rows congruent to the top of the
-    # identity modulo every prime p < K not dividing q (one CRT per entry),
-    # which forces the leading minor to be a unit mod those primes, then
-    # retry the random search in steps of P*q against the remaining primes.
     for cutoff in _FALLBACK_CUTOFFS:
         primes = [p for p in small_primes(cutoff) if q % p != 0]
         if not primes:
             continue
-        big_p = math.prod(primes)
-        shifted = []
-        for i in range(rows):
-            row = []
-            for j in range(cols):
-                target = 1 if i == j else 0
-                congruences = [
-                    ((target - base[i][j]) * pow(q, -1, p) % p, p) for p in primes
-                ]
-                row.append(base[i][j] + q * crt(congruences).value)
-            shifted.append(row)
-        step = big_p * q
-        for _ in range(_FALLBACK_TRIES):
-            trials += 1
-            b = IntMatrix(
-                [
-                    [shifted[i][j] + step * rng.randrange(bound) for j in range(cols)]
-                    for i in range(rows)
-                ]
-            )
-            minors = accept(b)
-            if minors is not None:
-                return b, minors, trials
+        shifted = [
+            [
+                x + q * crt([((int(i == j) - x) * pow(q, -1, p) % p, p) for p in primes]).value
+                for j, x in enumerate(row)
+            ]
+            for i, row in enumerate(base)
+        ]
+        yield from draws(shifted, q * math.prod(primes), bound, _FALLBACK_TRIES)
+
+
+def _lift_rows_searched(a: IntMatrix, q: int, seed: int) -> tuple[IntMatrix, tuple[int, ...], int]:
+    """Row lift returning (B, maximal_minors(B), trials_used).
+
+    Every candidate is congruent to the signed lift mod q, so its minors
+    share a factor with q exactly when the first candidate's do.
+    """
+    if q < 1:
+        raise InvalidInput(f"need q >= 1, got {q}")
+    base = [[signed(x, q) for x in row] for row in a.rows]
+    trials = 0
+    for trials, b in enumerate(_row_candidates(base, q, seed), 1):
+        minors = intmat.maximal_minors(b)
+        g = reduce(math.gcd, minors)
+        if g == 1:
+            return b, minors, trials
+        if math.gcd(g, q) != 1:
+            raise NotExtendableModQ(f"row minors share a factor with q={q}")
     raise SearchExhausted(f"no extendable row lift found for q={q} (trials={trials})")
 
 
-def lift_rows(a: IntMatrix, q: int, seed: int = 0, growth_c: float = DEFAULT_GROWTH_C) -> IntMatrix:
+def lift_rows(a: IntMatrix, q: int, seed: int = 0) -> IntMatrix:
     """Lift (n-1) x n rows mod q to integer rows extending to SL_n(Z).
 
-    Returns B = A0 + qX with A0 the entrywise signed lift; the search tries
-    X = 0, then uniform X with entries in [0, M) for M doubling up to
-    growth_c * log2(q+2), then the CRT fallback.
+    Returns B = A0 + qX with A0 the entrywise signed lift: the first
+    candidate of _row_candidates whose maximal minors have gcd 1 (X = 0,
+    then random X at doubling entry bounds, then the CRT fallback).
     """
-    b, _, _ = _lift_rows_searched(a, q, seed, growth_c)
+    b, _, _ = _lift_rows_searched(a, q, seed)
     return b
 
 
@@ -159,7 +140,7 @@ def _complete(b: IntMatrix, c: tuple[int, ...]) -> tuple[int, ...]:
     return v
 
 
-def lift(x: IntMatrix, q: int, seed: int = 0, growth_c: float = DEFAULT_GROWTH_C) -> LiftCertificate:
+def lift(x: IntMatrix, q: int, seed: int = 0) -> LiftCertificate:
     """Lift x in SL_n(Z/qZ) to a certified gamma in SL_n(Z).
 
     First n-1 rows come from lift_rows, the completion from complete_rows,
@@ -179,11 +160,12 @@ def lift(x: IntMatrix, q: int, seed: int = 0, growth_c: float = DEFAULT_GROWTH_C
         raise InvalidInput(f"det is {intmat.det(x) % q} mod {q}, need 1")
 
     top = IntMatrix(x.rows[: n - 1])
-    b, minors, trials = _lift_rows_searched(top, q, seed, growth_c)
+    b, minors, trials = _lift_rows_searched(top, q, seed)
     v = _complete(b, minors)
 
     w = tuple((x.rows[n - 1][j] - v[j]) % q for j in range(n))
-    alpha = intmat.solve_mod(x.reduce_mod(q), w, q)
+    xq = x.reduce_mod(q)
+    alpha = intmat.solve_mod(xq, w, q)
     if alpha[n - 1] % q != 0:
         raise AssertionError("last solve coefficient should vanish")
     last = list(v)
@@ -196,13 +178,10 @@ def lift(x: IntMatrix, q: int, seed: int = 0, growth_c: float = DEFAULT_GROWTH_C
     gamma = b.with_row(last)
     if intmat.det(gamma) != 1:
         raise AssertionError("lift lost the determinant")
-    for i in range(n):
-        for j in range(n):
-            if (gamma.rows[i][j] - x.rows[i][j]) % q != 0:
-                raise AssertionError("lift broke the congruence")
-    first_max = max(abs(e) for row in b.rows for e in row)
+    if gamma.reduce_mod(q) != xq:
+        raise AssertionError("lift broke the congruence")
     last_max = max(abs(e) for e in last)
-    return LiftCertificate(gamma, q, n, first_max, last_max, trials, seed)
+    return LiftCertificate(gamma, q, n, b.max_norm(), last_max, trials, seed)
 
 
 def random_sl_matrix(n: int, q: int, seed: int) -> IntMatrix:

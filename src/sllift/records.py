@@ -4,7 +4,8 @@ A record is one JSON object with a fixed field order; re-running the same
 command with the same seed reproduces the results payload byte for byte
 (wall_time_ms is the one field allowed to differ).  Integers whose absolute
 value exceeds 2^53 are emitted losslessly as decimal strings, under a
-"_str"-suffixed key when they sit in an object.
+"_str"-suffixed key when they sit in an object.  Non-finite floats (an
+operator-norm estimate beyond float range) are emitted as null.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -24,12 +26,12 @@ _SAFE_INT = 2**53
 
 
 def _convert(value):
-    if isinstance(value, bool) or value is None:
+    if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
         return str(value) if abs(value) > _SAFE_INT else value
-    if isinstance(value, float) or isinstance(value, str):
-        return value
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, Fraction):
         return {"numerator": _convert(value.numerator), "denominator": _convert(value.denominator)}
     if isinstance(value, Residue):

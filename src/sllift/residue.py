@@ -29,6 +29,8 @@ PRIME_SCAN_BOUND = 10**6
 _TRIAL_BOUND = 10**6
 _RHO_SEED = 0x5EED
 _RHO_ROUNDS = 64
+# Cycle length at which one rho attempt gives up (and counts as a round).
+_RHO_STEPS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -140,33 +142,34 @@ def small_primes(limit: int) -> list[int]:
     return [i for i in range(limit) if flags[i]]
 
 
-def _rho_factor(n: int, rng: random.Random) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite n."""
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
+def _rho_factor(n: int, rng: random.Random) -> int | None:
+    """One Brent-cycle Pollard rho attempt on composite n: a nontrivial
+    factor, or None if the cycle closes on n or passes _RHO_STEPS."""
+    y = rng.randrange(1, n)
+    c = rng.randrange(1, n)
+    m = 128
+    g = r = q = 1
+    while g == 1:
+        if r > _RHO_STEPS:
+            return None
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
+                q = q * abs(x - y) % n
+            g = math.gcd(q, n)
+            k += m
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(abs(x - ys), n)
+    return g if g != n else None
 
 
 @lru_cache(maxsize=1 << 12)
@@ -175,7 +178,8 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
 
     Trial division below 10^6, then a deterministic-seeded Pollard rho for
     any surviving cofactor.  Raises FactorLimitExceeded if a composite
-    cofactor resists the rho round budget.
+    cofactor resists the rho round budget: _RHO_ROUNDS attempts in all,
+    each capped at _RHO_STEPS cycle length, so it returns within seconds.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -210,8 +214,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
                 if rounds > _RHO_ROUNDS:
                     raise FactorLimitExceeded(f"cofactor {c} of {m}")
                 d = _rho_factor(c, rng)
-                stack.append(d)
-                stack.append(c // d)
+                stack.extend((c,) if d is None else (d, c // d))
     return tuple(sorted(out.items()))
 
 

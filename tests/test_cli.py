@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -11,6 +14,7 @@ from sllift.errors import NotExtendableModQ, SearchExhausted, SlliftError
 from sllift.intmat import IntMatrix
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "record.schema.json")
+SRC_PATH = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 with open(SCHEMA_PATH) as fh:
@@ -29,6 +33,20 @@ def records_from(out):
 
 def strip_time(record):
     return {k: v for k, v in record.items() if k != "wall_time_ms"}
+
+
+def run_process(argv, stdout=subprocess.PIPE):
+    """Run the sllift CLI in a fresh interpreter, as a shell would."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_PATH, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sllift.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 class TestParsing:
@@ -187,6 +205,21 @@ class TestSweeps:
             res = row["results"]
             assert pow(res["beta"], 2, row["params"]["q"]) == res["alpha"] % row["params"]["q"]
 
+    def test_roots_target_is_exact_at_perfect_powers(self, capsys):
+        # ceil(8^(2/3)) = 4; the float form 8 ** (1 - 1/3) rounds above 4
+        code, out, _ = run(["sweep", "roots", "--q", "8,9,27", "--k", "3"], capsys)
+        assert code == 0
+        assert [r["results"]["target"] for r in records_from(out)] == [4, 5, 9]
+
+    def test_roots_target_beyond_float_range(self, capsys):
+        q = 10**320
+        code, out, _ = run(["sweep", "roots", "--q", str(q)], capsys)
+        assert code == 0
+        (row,) = records_from(out)
+        assert row["results"]["target_str"] == str(10**160)
+        assert not row["results"]["flagged"]
+        jsonschema.validate(row, SCHEMA)
+
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_roots_k_below_one_is_usage_error(self, capsys, k):
         code, out, err = run(["sweep", "roots", "--q", "5", "--k", k], capsys)
@@ -280,7 +313,35 @@ class TestSweeps:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+class TestNoTracebackEscapes:
+    def test_lift_beyond_float_range_emits_null_estimate(self):
+        q = 10**160 + 7
+        proc = run_process(["lift", "--n", "2", "--q", str(q), "--matrix", "random", "--json"])
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["results"]["op_norm_estimate"] is None
+        jsonschema.validate(record, SCHEMA)
+
+    def test_closed_stdout_exits_one_quietly(self):
+        # stdout is a pipe whose reader is already gone, as in `| head -1`
+        # once head has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_process(["sweep", "diameter", "--q", "2..4"], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+
+
 class TestRecords:
+    def test_non_finite_floats_become_null(self):
+        rec = records.make_record("t", {}, 0, {"v": math.inf, "w": [-math.inf, math.nan]}, 0)
+        assert rec["results"] == {"v": None, "w": [None, None]}
+        assert records.dumps(rec).endswith('"results":{"v":null,"w":[null,null]},"wall_time_ms":0}')
+
     def test_big_int_becomes_str_suffix(self):
         rec = records.make_record("t", {"big": 2**60}, 0, {"v": [2**60, 1]}, 3)
         assert rec["params"]["big_str"] == str(2**60)

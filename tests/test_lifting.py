@@ -1,12 +1,15 @@
+import itertools
 import math
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sllift.lifting as lifting
-from sllift.errors import InvalidInput, NotExtendable, NotExtendableModQ
+from sllift import intmat
+from sllift.errors import InvalidInput, NotExtendable, NotExtendableModQ, SearchExhausted
 from sllift.intmat import IntMatrix, det
 from sllift.lifting import (
     complete_rows,
@@ -15,6 +18,7 @@ from sllift.lifting import (
     lift_rows,
     random_sl_matrix,
 )
+from sllift.residue import crt, signed, small_primes
 
 
 class TestIsExtendable:
@@ -69,6 +73,120 @@ class TestLiftRows:
         x = random_sl_matrix(3, 12, 5)
         b = lift_rows(IntMatrix(x.rows[:2]), 12, seed=0)
         assert is_extendable(b)
+
+
+def reference_lift_rows_searched(a, q, seed):
+    """The row search as three hand-written stages (zero offset, doubling
+    random levels, CRT fallback), kept to check the one-stream search."""
+    base = [[signed(x, q) for x in row] for row in a.rows]
+    rows = len(base)
+    cols = len(base[0])
+
+    b = IntMatrix(base)
+    minors = intmat.maximal_minors(b)
+    g = reduce(math.gcd, minors)
+    if math.gcd(g, q) != 1:
+        raise NotExtendableModQ(f"row minors share a factor with q={q}")
+    trials = 1
+    if g == 1:
+        return b, minors, trials
+
+    def accept(b):
+        minors = intmat.maximal_minors(b)
+        return minors if reduce(math.gcd, minors) == 1 else None
+
+    rng = random.Random(seed)
+    bound = max(2, math.ceil(lifting.DEFAULT_GROWTH_C * math.log2(q + 2)))
+    level = 2
+    while True:
+        for _ in range(lifting._TRIES_PER_LEVEL):
+            trials += 1
+            b = IntMatrix(
+                [[base[i][j] + q * rng.randrange(level) for j in range(cols)] for i in range(rows)]
+            )
+            minors = accept(b)
+            if minors is not None:
+                return b, minors, trials
+        if level >= bound:
+            break
+        level = min(2 * level, bound)
+
+    for cutoff in lifting._FALLBACK_CUTOFFS:
+        primes = [p for p in small_primes(cutoff) if q % p != 0]
+        if not primes:
+            continue
+        big_p = math.prod(primes)
+        shifted = []
+        for i in range(rows):
+            row = []
+            for j in range(cols):
+                target = 1 if i == j else 0
+                congruences = [
+                    ((target - base[i][j]) * pow(q, -1, p) % p, p) for p in primes
+                ]
+                row.append(base[i][j] + q * crt(congruences).value)
+            shifted.append(row)
+        step = big_p * q
+        for _ in range(lifting._FALLBACK_TRIES):
+            trials += 1
+            b = IntMatrix(
+                [
+                    [shifted[i][j] + step * rng.randrange(bound) for j in range(cols)]
+                    for i in range(rows)
+                ]
+            )
+            minors = accept(b)
+            if minors is not None:
+                return b, minors, trials
+    raise SearchExhausted(f"no extendable row lift found for q={q} (trials={trials})")
+
+
+def _search_outcome(search, a, q, seed):
+    try:
+        b, minors, trials = search(a, q, seed)
+    except (NotExtendableModQ, SearchExhausted) as exc:
+        return type(exc), str(exc)
+    return b.rows, minors, trials
+
+
+DIFFERENTIAL_MODULI = (2, 3, 4, 7, 8, 12, 30, 101, 360, 1024, 9973, 30030, 10**9 + 7, 223092870)
+
+
+class TestRowSearchDifferential:
+    @pytest.mark.parametrize(
+        "tries_per_level, fallback_tries",
+        [(None, None), (0, 0), (0, 1), (1, 0), (1, 1)],
+    )
+    def test_matches_staged_reference(self, monkeypatch, tries_per_level, fallback_tries):
+        if tries_per_level is not None:
+            monkeypatch.setattr(lifting, "_TRIES_PER_LEVEL", tries_per_level)
+            monkeypatch.setattr(lifting, "_FALLBACK_TRIES", fallback_tries)
+        rng = random.Random(61)
+        kinds = {"zero": 0, "search": 0, "mod_q": 0, "exhausted": 0}
+        for n, q, _ in itertools.product(range(2, 6), DIFFERENTIAL_MODULI, range(3)):
+            tops = [IntMatrix(random_sl_matrix(n, q, rng.randrange(2**30)).rows[: n - 1])]
+            # entries sharing a factor d force a search when gcd(d, q) = 1
+            # and NotExtendableModQ when it is not
+            for d in (3, rng.choice((2, 5, 7))):
+                entries = [[d * rng.randrange(q) % q for _ in range(n)] for _ in range(n - 1)]
+                tops.append(IntMatrix(entries))
+            for top in tops:
+                seed = rng.randrange(2**30)
+                want = _search_outcome(reference_lift_rows_searched, top, q, seed)
+                got = _search_outcome(lifting._lift_rows_searched, top, q, seed)
+                assert got == want, (n, q, top.rows, seed)
+                if want[0] is NotExtendableModQ:
+                    kinds["mod_q"] += 1
+                elif want[0] is SearchExhausted:
+                    kinds["exhausted"] += 1
+                else:
+                    kinds["zero" if want[2] == 1 else "search"] += 1
+        assert kinds["zero"] and kinds["mod_q"]
+        if tries_per_level == 0 and fallback_tries == 0:
+            assert kinds["exhausted"]
+        else:
+            # at _TRIES_PER_LEVEL = 0 these are all fallback draws
+            assert kinds["search"]
 
 
 class TestCompleteRows:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sllift.errors import NotCoprime, NotUnit, PrimeTooLarge, TooManyRoots
+from sllift.errors import FactorLimitExceeded, NotCoprime, NotUnit, PrimeTooLarge, TooManyRoots
 from sllift.residue import (
     Residue,
     _prime_power_roots,
@@ -93,6 +93,16 @@ class TestFactorize:
     def test_rho_handles_large_semiprime(self):
         p, q = 1000003, 1000033
         assert factorize(p * q) == ((p, 1), (q, 1))
+
+    def test_rho_factors_mid_sized_primes_within_the_step_cap(self):
+        for p, q in ((2**31 - 1, 2**61 - 1), (1000003, 2**31 - 1)):
+            assert factorize(p * q) == ((p, 1), (q, 1))
+
+    def test_two_large_primes_raise_instead_of_hanging(self):
+        # rho needs ~sqrt(10^19) steps here; every attempt stops at the step
+        # cap and counts as a round, so the round budget ends the search
+        with pytest.raises(FactorLimitExceeded):
+            factorize(10000000000000000051 * 30000000000000000041)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
