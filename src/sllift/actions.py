@@ -183,8 +183,9 @@ def diameter_profile(space: str, n: int, q: int, t_max: int) -> dict:
     }
 
 
-def projective_bad_pair(q: int, t_max: int | None = None) -> DistanceRecord:
-    """Scan e = (1, 0) against (1, q/2) in the projective plane mod even q.
+def projective_bad_pair(q: int) -> DistanceRecord:
+    """Scan e = (1, 0) against (1, q/2) in the projective plane mod even q,
+    up to norm 8q.
 
     Unit scaling fixes the second coordinate q/2, so every witness must
     carry an entry of size at least q/2; the record measures how tight
@@ -192,8 +193,4 @@ def projective_bad_pair(q: int, t_max: int | None = None) -> DistanceRecord:
     """
     if q < 2 or q % 2 != 0:
         raise InvalidInput(f"need even q >= 2, got {q}")
-    if t_max is None:
-        t_max = 8 * q
-    e = PointP(q, (1, 0))
-    x = PointP(q, (1, q // 2))
-    return dist_projective(e, x, t_max)
+    return dist_projective(PointP(q, (1, 0)), PointP(q, (1, q // 2)), 8 * q)

@@ -316,7 +316,7 @@ def _cmd_sweep(args) -> int:
         points += 1
         try:
             results = thunk()
-        except SlliftError as exc:
+        except (SlliftError, OverflowError) as exc:  # a q or T beyond float or index range
             results = {"error": str(exc), "flagged": True}
             failures += 1
         wall = int(1000 * (time.monotonic() - start))

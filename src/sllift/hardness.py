@@ -59,7 +59,7 @@ class RootWitness:
             raise ValueError("beta^n != alpha")
         if math.gcd(self.beta.value, self.modulus) != 1:
             raise ValueError("beta is not a unit")
-        object.__setattr__(self, "abs_alpha", self.alpha.abs())
+        object.__setattr__(self, "abs_alpha", abs(signed(self.alpha.value, self.alpha.modulus)))
         object.__setattr__(self, "abs_n_beta", abs(signed(self.n * self.beta.value, self.modulus)))
         object.__setattr__(self, "degenerate", self.n == 1)
 
@@ -87,7 +87,6 @@ def find_large_root(
     n: int,
     alpha_budget: int,
     target: int | None = None,
-    root_cap: int = ROOT_CAP,
 ) -> RootWitness:
     """Best witness maximizing |n*beta| over alphas with |alpha| <= budget.
 
@@ -111,7 +110,7 @@ def find_large_root(
                 continue
             alpha = Residue(value, modulus)
             try:
-                roots = nth_roots(alpha, n, limit=root_cap)
+                roots = nth_roots(alpha, n, limit=ROOT_CAP)
             except TooManyRoots as exc:
                 warnings.warn(f"skipping alpha={value} mod {modulus}: {exc}")
                 continue
@@ -185,17 +184,15 @@ def is_rational_nth_power(num: int, den: int, n: int) -> bool:
     return rn**n == num and rd**n == den
 
 
-def small_nth_powers(
-    q: int, n: int, count: int, prime_budget: int = SIEVE_PRIME_BUDGET
-) -> list[tuple[Residue, Residue, int]]:
+def small_nth_powers(q: int, n: int, count: int) -> list[tuple[Residue, Residue, int]]:
     """Pairs (alpha, beta, alpha_as_integer) with beta^n = alpha mod q.
 
-    Sieves primes coprime to q in ascending order; each prime either matches
-    an earlier representative r of its power class (emitting alpha = p *
-    r^(n-1)) or, when the prime is itself an n-th power residue, matches
-    itself (alpha = p^n).  Pairs are kept only if no ratio of integer alphas
-    with an already accepted pair is an exact rational n-th power, checked
-    exactly on the integer products.
+    Sieves the first SIEVE_PRIME_BUDGET primes in ascending order, skipping
+    those dividing q; each prime either matches an earlier representative r
+    of its power class (emitting alpha = p * r^(n-1)) or, when the prime is
+    itself an n-th power residue, matches itself (alpha = p^n).  Pairs are
+    kept only if no ratio of integer alphas with an already accepted pair is
+    an exact rational n-th power, checked exactly on the integer products.
     """
     if q < 2 or n < 1 or count < 1:
         raise InvalidInput("need q >= 2, n >= 1, count >= 1")
@@ -203,7 +200,7 @@ def small_nth_powers(
     reps: list[int] = []
     scanned = 0
     p = 2
-    while scanned < prime_budget:
+    while scanned < SIEVE_PRIME_BUDGET:
         if is_prime(p):
             scanned += 1
             if q % p != 0:
@@ -228,7 +225,7 @@ def small_nth_powers(
                         return accepted
         p += 1
     raise SieveExhausted(
-        f"found {len(accepted)} of {count} pairs within {prime_budget} primes"
+        f"found {len(accepted)} of {count} pairs within {SIEVE_PRIME_BUDGET} primes"
     )
 
 
@@ -285,7 +282,7 @@ def trace_family_instance(m: int) -> HardInstance:
     q = 8 * m
     m2 = q * q
     beta = Residue(1 + 4 * m, m2)
-    alpha = beta**2
+    alpha = Residue(pow(beta.value, 2, m2), m2)
     witness = RootWitness(m2, 2, alpha, beta, method="trace_family")
     x = IntMatrix([[(1 - 4 * m) % q, 0], [0, (1 + 4 * m) % q]])
     if det(x) % q != 1 % q:

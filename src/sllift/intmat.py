@@ -46,26 +46,6 @@ class IntMatrix:
             tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         )
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows))
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise BadShape(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        cols = other.transpose().rows
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in self.rows)
-        )
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.mul(other)
-
     def reduce_mod(self, q: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(x % q for x in r) for r in self.rows))
 

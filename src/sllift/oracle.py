@@ -34,10 +34,8 @@ from .residue import ext_gcd
 DEFAULT_BUDGET = 10**9
 
 
-def current_budget(override: int | None = None) -> int:
+def current_budget() -> int:
     """Effective candidate budget; SLLIFT_BUDGET overrides the default."""
-    if override is not None:
-        return override
     env = os.environ.get("SLLIFT_BUDGET")
     if not env:
         return DEFAULT_BUDGET
@@ -102,12 +100,11 @@ def candidate_count(spec: EnumSpec) -> int:
     return math.prod(map(len, chain(*lads[:-1], lads[-1][:-2])))
 
 
-def _check_budget(spec: EnumSpec, budget: int | None) -> int:
-    limit = current_budget(budget)
+def _check_budget(spec: EnumSpec) -> None:
+    limit = current_budget()
     size = candidate_count(spec)
     if size > limit:
         raise BudgetExceeded(f"candidate space {size} exceeds budget {limit}")
-    return limit
 
 
 def _cofactors(rows) -> tuple[int, ...]:
@@ -215,18 +212,18 @@ def _walk(spec: EnumSpec, weighted: bool = False):
                     yield weight, rows, head, solution
 
 
-def count_sl(spec: EnumSpec, budget: int | None = None) -> int:
+def count_sl(spec: EnumSpec) -> int:
     """Exact count of gamma in SL_n(Z) within the caps (and congruence)."""
-    _check_budget(spec, budget)
+    _check_budget(spec)
     return sum(w * _size(sol) for w, _, _, sol in _walk(spec, spec.q == 0))
 
 
-def iter_sl(spec: EnumSpec, budget: int | None = None):
+def iter_sl(spec: EnumSpec):
     """Every matching matrix as row tuples, in lexicographic row-major order.
 
     The budget check happens eagerly, before the first matrix is produced.
     """
-    _check_budget(spec, budget)
+    _check_budget(spec)
     return (
         rows + (head + pair,)
         for _, rows, head, sol in _walk(spec)
@@ -234,20 +231,20 @@ def iter_sl(spec: EnumSpec, budget: int | None = None):
     )
 
 
-def exists_sl(spec: EnumSpec, budget: int | None = None) -> bool:
+def exists_sl(spec: EnumSpec) -> bool:
     """Whether at least one matching matrix exists."""
-    _check_budget(spec, budget)
+    _check_budget(spec)
     return next(_walk(spec, spec.q == 0), None) is not None
 
 
-def iter_lifts(x: IntMatrix, q: int, cap: int, budget: int | None = None):
+def iter_lifts(x: IntMatrix, q: int, cap: int):
     """All lifts of x mod q with uniform max norm at most cap."""
     n = x.nrows
     spec = EnumSpec(n=n, caps=(cap,) * n, q=q, x=x.rows)
-    return iter_sl(spec, budget)
+    return iter_sl(spec)
 
 
-def min_lift_norm(x: IntMatrix, q: int, t_max: int, budget: int | None = None) -> int | None:
+def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
     """Least T <= t_max admitting a lift of x mod q with max norm <= T.
 
     T starts at the least value every entry's residue ladder reaches and
@@ -274,7 +271,7 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int, budget: int | None = None) -
 
     def exists(t: int) -> bool:
         spec = EnumSpec(n=n, caps=(t,) * n, q=q, x=x.rows)
-        return exists_sl(spec, budget)
+        return exists_sl(spec)
 
     if exists(t):
         return t
@@ -294,9 +291,7 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int, budget: int | None = None) -
     return None
 
 
-def norm_count_table(
-    n: int, t_list, budget: int | None = None
-) -> list[tuple[int, int, float | None]]:
+def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     """Rows (T, exact count within norm T, count / T^(n^2 - n)).
 
     A single threshold is one count_sl; several share one walk over the box
@@ -308,10 +303,10 @@ def norm_count_table(
     exponent = n * n - n
     t_max = max(t_list, default=0)
     if len(t_list) == 1 or t_max == 0:
-        counts = {t: count_sl(EnumSpec(n=n, caps=(t,) * n), budget) if t else 0 for t in t_list}
+        counts = {t: count_sl(EnumSpec(n=n, caps=(t,) * n)) if t else 0 for t in t_list}
     else:
         spec = EnumSpec(n=n, caps=(t_max,) * n)
-        _check_budget(spec, budget)
+        _check_budget(spec)
         exact = [0] * (t_max + 1)
         for weight, rows, head, sol in _walk(spec, weighted=True):
             top = max(map(abs, chain(head, *rows)), default=0)

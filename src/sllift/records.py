@@ -19,7 +19,6 @@ import tempfile
 from fractions import Fraction
 
 from .intmat import IntMatrix
-from .residue import Residue
 
 SCHEMA_VERSION = "1"
 _SAFE_INT = 2**53
@@ -34,8 +33,6 @@ def _convert(value):
         return value if math.isfinite(value) else None
     if isinstance(value, Fraction):
         return {"numerator": _convert(value.numerator), "denominator": _convert(value.denominator)}
-    if isinstance(value, Residue):
-        return {"value": _convert(value.value), "modulus": _convert(value.modulus)}
     if isinstance(value, IntMatrix):
         return [_convert(list(r)) for r in value.rows]
     if isinstance(value, dict):

@@ -28,9 +28,8 @@ PRIME_SCAN_BOUND = 10**6
 
 _TRIAL_BOUND = 10**6
 _RHO_SEED = 0x5EED
-_RHO_ROUNDS = 64
-# Cycle length at which one rho attempt gives up (and counts as a round).
-_RHO_STEPS = 1 << 14
+# Squarings one factorize call may spend on Pollard rho, over all attempts.
+_RHO_STEPS = 64 << 16
 
 
 @dataclass(frozen=True)
@@ -45,28 +44,6 @@ class Residue:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
         object.__setattr__(self, "value", self.value % self.modulus)
 
-    def signed(self) -> int:
-        return signed(self.value, self.modulus)
-
-    def abs(self) -> int:
-        return abs(signed(self.value, self.modulus))
-
-    def is_unit(self) -> bool:
-        return math.gcd(self.value, self.modulus) == 1
-
-    def inverse(self) -> "Residue":
-        if not self.is_unit():
-            raise NotUnit(f"{self.value} is not a unit mod {self.modulus}")
-        return Residue(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-        return Residue(self.value * other.value, self.modulus)
-
-    def __pow__(self, n: int) -> "Residue":
-        return Residue(pow(self.value, n, self.modulus), self.modulus)
-
 
 def signed(value: int, modulus: int) -> int:
     """Representative of value mod modulus with minimal absolute value.
@@ -77,14 +54,6 @@ def signed(value: int, modulus: int) -> int:
     if 2 * r > modulus:
         r -= modulus
     return r
-
-
-def signed_lift(a: Residue) -> int:
-    return a.signed()
-
-
-def abs_value(a: Residue) -> int:
-    return a.abs()
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -142,16 +111,18 @@ def small_primes(limit: int) -> list[int]:
     return [i for i in range(limit) if flags[i]]
 
 
-def _rho_factor(n: int, rng: random.Random) -> int | None:
-    """One Brent-cycle Pollard rho attempt on composite n: a nontrivial
-    factor, or None if the cycle closes on n or passes _RHO_STEPS."""
+def _rho_factor(n: int, rng: random.Random, steps: int) -> tuple[int | None, int]:
+    """One Brent-cycle Pollard rho attempt on composite n within steps
+    squarings: (a nontrivial factor, or None if the cycle closes on n or
+    the steps run out; the steps left)."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
     g = r = q = 1
     while g == 1:
-        if r > _RHO_STEPS:
-            return None
+        if 2 * r > steps:
+            return None, 0
+        steps -= 2 * r  # a round of cycle length r squares 2r times at most
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -169,7 +140,7 @@ def _rho_factor(n: int, rng: random.Random) -> int | None:
         while g == 1:
             ys = (ys * ys + c) % n
             g = math.gcd(abs(x - ys), n)
-    return g if g != n else None
+    return (g if g != n else None), steps
 
 
 @lru_cache(maxsize=1 << 12)
@@ -178,8 +149,8 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
 
     Trial division below 10^6, then a deterministic-seeded Pollard rho for
     any surviving cofactor.  Raises FactorLimitExceeded if a composite
-    cofactor resists the rho round budget: _RHO_ROUNDS attempts in all,
-    each capped at _RHO_STEPS cycle length, so it returns within seconds.
+    cofactor resists the rho budget: _RHO_STEPS squarings shared by all
+    attempts of the call, so it returns within seconds.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -204,16 +175,15 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
         else:
             rng = random.Random(_RHO_SEED ^ n)
             stack = [n]
-            rounds = 0
+            steps = _RHO_STEPS
             while stack:
                 c = stack.pop()
                 if is_prime(c):
                     out[c] = out.get(c, 0) + 1
                     continue
-                rounds += 1
-                if rounds > _RHO_ROUNDS:
+                if steps < 2:
                     raise FactorLimitExceeded(f"cofactor {c} of {m}")
-                d = _rho_factor(c, rng)
+                d, steps = _rho_factor(c, rng, steps)
                 stack.extend((c,) if d is None else (d, c // d))
     return tuple(sorted(out.items()))
 

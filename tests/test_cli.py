@@ -323,6 +323,24 @@ class TestNoTracebackEscapes:
         assert record["results"]["op_norm_estimate"] is None
         jsonschema.validate(record, SCHEMA)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "roots", "--q", str(10**320), "--k", "1"],
+            ["sweep", "lift-bounds", "--q", str(10**320), "--samples", "1"],
+            ["sweep", "skewed", "--T", str(10**110)],
+        ],
+        ids=["roots", "lift-bounds", "skewed"],
+    )
+    def test_sweep_point_beyond_float_range_is_flagged(self, argv):
+        proc = run_process(argv)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        (record,) = records_from(proc.stdout)
+        assert record["results"]["flagged"] is True
+        assert record["results"]["error"]
+        jsonschema.validate(record, SCHEMA)
+
     def test_closed_stdout_exits_one_quietly(self):
         # stdout is a pipe whose reader is already gone, as in `| head -1`
         # once head has exited

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sllift import hardness
 from sllift.errors import InvalidInput, SieveExhausted
 from sllift.hardness import (
     RootWitness,
@@ -77,14 +78,15 @@ class TestFindLargeRoot:
         with pytest.raises(ValueError):
             RootWitness(15, 2, Residue(4, 15), Residue(3, 15))
 
-    def test_root_cap_skips_alpha(self):
+    def test_root_cap_skips_alpha(self, monkeypatch):
         # alpha = 1 mod 3*5*7*11*13 has 32 square roots; with the cap at 16
         # it is skipped, and no other |alpha| <= 2 is a square, so the
         # search honestly reports that nothing was admissible
         from sllift.errors import NoUnitAlpha
 
+        monkeypatch.setattr(hardness, "ROOT_CAP", 16)
         with pytest.warns(UserWarning), pytest.raises(NoUnitAlpha):
-            find_large_root(3 * 5 * 7 * 11 * 13, 2, 2, root_cap=16)
+            find_large_root(3 * 5 * 7 * 11 * 13, 2, 2)
 
 
 class TestSmallPFactorRoot:
@@ -125,23 +127,26 @@ class TestSmallNthPowers:
         (alpha, beta, alpha_int) = pairs[0]
         assert alpha_int == 9 and beta.value == 1
 
-    def test_pairwise_constraint_rejects_second_self_match(self):
+    def test_pairwise_constraint_rejects_second_self_match(self, monkeypatch):
         # mod 8 squares are {1}: primes 1 mod 8 self-match; ratios of two
         # self-matches are exact squares, so only distinct-class pairs follow
-        pairs = small_nth_powers(8, 2, 3, prime_budget=500)
+        monkeypatch.setattr(hardness, "SIEVE_PRIME_BUDGET", 500)
+        pairs = small_nth_powers(8, 2, 3)
         ints = [i for _, _, i in pairs]
         for a in ints:
             for b in ints:
                 if a != b:
                     assert not is_rational_nth_power(a, b, 2)
 
-    def test_sieve_exhausted(self):
+    def test_sieve_exhausted(self, monkeypatch):
+        monkeypatch.setattr(hardness, "SIEVE_PRIME_BUDGET", 30)
         with pytest.raises(SieveExhausted):
-            small_nth_powers(8, 2, 50, prime_budget=30)
+            small_nth_powers(8, 2, 50)
 
-    def test_validity_across_moduli(self):
+    def test_validity_across_moduli(self, monkeypatch):
+        monkeypatch.setattr(hardness, "SIEVE_PRIME_BUDGET", 1000)
         for q in (35, 64, 99, 256):
-            pairs = small_nth_powers(q, 3, 2, prime_budget=1000)
+            pairs = small_nth_powers(q, 3, 2)
             for alpha, beta, alpha_int in pairs:
                 assert alpha_int % q == alpha.value
                 assert pow(beta.value, 3, q) == alpha.value

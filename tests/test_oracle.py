@@ -145,10 +145,11 @@ class TestCountSl:
         spec = EnumSpec(n=3, caps=(1, 1, 1))
         assert count_sl(spec) == len(list(iter_sl(spec)))
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        monkeypatch.setenv("SLLIFT_BUDGET", "1000")
         spec = EnumSpec(n=2, caps=(100, 100))
         with pytest.raises(BudgetExceeded):
-            count_sl(spec, budget=1000)
+            count_sl(spec)
 
     def test_env_budget_must_be_decimal(self, monkeypatch):
         monkeypatch.setenv("SLLIFT_BUDGET", "1e6")
@@ -172,7 +173,7 @@ class TestCountSl:
         for _ in range(10):
             q = rng.choice([3, 4, 5, 8])
             x = random_sl_matrix(2, q, rng.randrange(2**30))
-            xit = adjugate_mod(x, q).transpose()
+            xit = IntMatrix(zip(*adjugate_mod(x, q).rows))
             caps = (3, 3)
             a = count_sl(EnumSpec(n=2, caps=caps, q=q, x=x.rows))
             b = count_sl(EnumSpec(n=2, caps=caps, q=q, x=xit.rows))
@@ -192,9 +193,10 @@ class TestIterSl:
                 assert g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1
                 assert max(abs(e) for r in g for e in r) <= max(caps)
 
-    def test_budget_raises_eagerly(self):
+    def test_budget_raises_eagerly(self, monkeypatch):
+        monkeypatch.setenv("SLLIFT_BUDGET", "10")
         with pytest.raises(BudgetExceeded):
-            iter_sl(EnumSpec(n=2, caps=(100, 100)), budget=10)
+            iter_sl(EnumSpec(n=2, caps=(100, 100)))
 
     def test_degenerate_cofactor_stratum(self):
         # matrices [[0, b], [c, d]] arise only via the direct-enumeration branch
@@ -276,9 +278,9 @@ class TestMinLiftNorm:
             classes.append((inst.x, inst.q, 2 * inst.q**2))
         probes = []
 
-        def counting_exists(spec, budget=None):
+        def counting_exists(spec):
             probes.append(spec.caps[0])
-            return exists_sl(spec, budget)
+            return exists_sl(spec)
 
         monkeypatch.setattr(oracle, "exists_sl", counting_exists)
         for x, q, t_max in classes:
@@ -330,12 +332,15 @@ class TestSkewedCounts:
         assert candidate_count(EnumSpec(n=1, caps=(4,))) == 1
 
     @pytest.mark.parametrize("t", [1, 3, 10])
-    def test_budget_is_exact_in_fixed_parts(self, t):
+    def test_budget_is_exact_in_fixed_parts(self, monkeypatch, t):
         spec = EnumSpec(n=2, caps=(t, t))
         limit = (2 * t + 1) ** 2
-        assert count_sl(spec, budget=limit) == count_sl(spec)
+        unlimited = count_sl(spec)
+        monkeypatch.setenv("SLLIFT_BUDGET", str(limit))
+        assert count_sl(spec) == unlimited
+        monkeypatch.setenv("SLLIFT_BUDGET", str(limit - 1))
         with pytest.raises(BudgetExceeded, match=f"candidate space {limit} exceeds budget {limit - 1}"):
-            count_sl(spec, budget=limit - 1)
+            count_sl(spec)
 
     def test_exists_matches_count(self):
         rng = random.Random(23)

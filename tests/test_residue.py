@@ -9,14 +9,13 @@ from sllift.errors import FactorLimitExceeded, NotCoprime, NotUnit, PrimeTooLarg
 from sllift.residue import (
     Residue,
     _prime_power_roots,
-    abs_value,
     crt,
     ext_gcd,
     factorize,
     is_nth_power_residue,
     is_prime,
     nth_roots,
-    signed_lift,
+    signed,
     small_primes,
 )
 
@@ -62,17 +61,17 @@ class TestSignedLift:
         [(10, 9, -1), (64, 50, -14), (7, 3, 3), (10, 5, 5), (2, 1, 1), (1, 0, 0)],
     )
     def test_examples(self, m, a, expected):
-        assert signed_lift(Residue(a, m)) == expected
+        assert signed(a, m) == expected
 
     def test_round_trip_and_symmetry(self):
         rng = random.Random(101)
         for _ in range(500):
             m = rng.randrange(1, 5000)
             a = rng.randrange(m)
-            r = signed_lift(Residue(a, m))
+            r = signed(a, m)
             assert r % m == a
             assert abs(r) <= m / 2
-            assert abs_value(Residue(a, m)) == abs_value(Residue(m - a, m))
+            assert abs(r) == abs(signed(m - a, m))
 
 
 class TestFactorize:
@@ -98,9 +97,16 @@ class TestFactorize:
         for p, q in ((2**31 - 1, 2**61 - 1), (1000003, 2**31 - 1)):
             assert factorize(p * q) == ((p, 1), (q, 1))
 
+    def test_rho_attempts_share_one_step_budget(self):
+        # rho needs ~sqrt(p) ~ 2^19 squarings for p ~ 1.8 * 10^11, more than
+        # any attempt stopped at cycle length 2^14 makes; one attempt of the
+        # shared budget gets there
+        p, q = 178291937587, 11885758236351349429
+        assert factorize(p * q) == ((p, 1), (q, 1))
+
     def test_two_large_primes_raise_instead_of_hanging(self):
-        # rho needs ~sqrt(10^19) steps here; every attempt stops at the step
-        # cap and counts as a round, so the round budget ends the search
+        # rho needs ~sqrt(10^19) squarings here; the shared step budget
+        # ends the search long before
         with pytest.raises(FactorLimitExceeded):
             factorize(10000000000000000051 * 30000000000000000041)
 
@@ -241,11 +247,3 @@ def test_small_primes():
     assert small_primes(2) == []
     assert small_primes(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert len(small_primes(10**4)) == 1229
-
-
-def test_residue_algebra():
-    a = Residue(7, 15)
-    assert (a * a.inverse()).value == 1
-    assert (a**2).value == 49 % 15
-    with pytest.raises(NotUnit):
-        Residue(5, 15).inverse()
