@@ -8,6 +8,13 @@ the minimum, and classify each image by lookup: a distance tests membership
 in the target's unit orbit, a profile maps every vector to its point through
 one dict built per call.  Norms are stored exactly; logarithms are
 presentation only.
+
+A profile walks one source per orbit of the signed permutation matrices P
+and counts its norms once per orbit member.  That is exact: gamma ->
+P gamma P^-1 keeps SL_n(Z) and the max norm and carries gamma x = y to
+(P gamma P^-1)(P x) = P y (up to a unit in projective space, which P
+commutes with), so the first-hit norms from P x are those from x, target
+for target.  A profile reads only the sorted multiset of norms.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import permutations, product
+from operator import mul
 
 from .errors import BudgetExceeded, InvalidInput
 from .oracle import EnumSpec, iter_sl
@@ -83,11 +91,11 @@ class DistanceRecord:
 def _shell(n: int, m: int) -> tuple:
     """All SL_n(Z) matrices with max norm exactly m, in iter_sl order."""
     spec = EnumSpec(n=n, caps=(m,) * n)
-    return tuple(g for g in iter_sl(spec) if max(abs(e) for r in g for e in r) == m)
+    return tuple(g for g in iter_sl(spec) if any(m in r or -m in r for r in g))
 
 
 def _apply(gamma, coords, q):
-    return tuple(sum(row[j] * coords[j] for j in range(len(coords))) % q for row in gamma)
+    return tuple(sum(map(mul, row, coords)) % q for row in gamma)
 
 
 def _shells(n: int, t_max: int):
@@ -129,12 +137,31 @@ def projective_points(n: int, q: int) -> list[tuple[int, ...]]:
     return sorted({canonical_rep(t, q) for t in affine_points(n, q)})
 
 
+def _signed_permutations(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The 2^n n! signed permutation matrices, as row tuples."""
+    return [
+        tuple(tuple(s if j == i else 0 for j in range(n)) for i, s in zip(perm, signs))
+        for perm in permutations(range(n))
+        for signs in product((1, -1), repeat=n)
+    ]
+
+
 def _all_distances(space: str, n: int, q: int, t_max: int):
-    """The points, and the min norms from every source to every target."""
+    """The points, and the multiset of min norms over all ordered pairs.
+
+    Only the sorted-first point of each signed-permutation orbit is walked;
+    its norms count once per orbit member (see the module docstring).
+    """
     point_of = {v: canonical_rep(v, q) if space == "P" else v for v in affine_points(n, q)}
     points = sorted(set(point_of.values()))
+    symmetries = _signed_permutations(n)
+    walked: set[tuple[int, ...]] = set()
     norms = []
     for src in points:
+        if src in walked:
+            continue
+        orbit = {point_of[_apply(p, src, q)] for p in symmetries}
+        walked |= orbit
         found: dict[tuple[int, ...], int] = {}
         for m, gamma in _shells(n, t_max):
             found.setdefault(point_of[_apply(gamma, src, q)], m)
@@ -143,7 +170,7 @@ def _all_distances(space: str, n: int, q: int, t_max: int):
         else:
             missing = next(p for p in points if p not in found)
             raise BudgetExceeded(f"pair ({src}, {missing}) unresolved within norm {t_max}")
-        norms.extend(found.values())
+        norms.extend(list(found.values()) * len(orbit))
     return points, norms
 
 

@@ -93,11 +93,16 @@ def _ladders(spec: EnumSpec):
     ]
 
 
+def _ladder_size(lad: range) -> int:
+    """len(lad) for steps >= 1, exact at sizes beyond len()'s C ssize_t range."""
+    return max(0, (lad.stop - lad.start + lad.step - 1) // lad.step)
+
+
 def candidate_count(spec: EnumSpec) -> int:
     """Number of fixed parts the kernel walks: the product of the ladder
     sizes of every entry except the last two of the last row, which it solves."""
     lads = _ladders(spec)
-    return math.prod(map(len, chain(*lads[:-1], lads[-1][:-2])))
+    return math.prod(map(_ladder_size, chain(*lads[:-1], lads[-1][:-2])))
 
 
 def _check_budget(spec: EnumSpec) -> None:

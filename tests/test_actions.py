@@ -1,6 +1,6 @@
 import math
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -76,8 +76,26 @@ def naive_profile(space, n, q, t_max):
     }
 
 
+def signed_permutation(v, perm, signs, q):
+    """P v mod q for the signed permutation P with (P v)_i = signs[i] * v[perm[i]]."""
+    return tuple(s * v[j] % q for j, s in zip(perm, signs))
+
+
+def signed_permutation_orbits(space, n, q):
+    """The points of the space, grouped into signed-permutation orbits."""
+    projective = space == "P"
+    cls = (lambda v: min(orbit(v, q))) if projective else (lambda v: v)
+    points = {cls(v) for v in product(range(q), repeat=n) if math.gcd(q, *v) == 1}
+    symmetries = [(perm, signs) for perm in permutations(range(n))
+                  for signs in product((1, -1), repeat=n)]
+    return {frozenset(cls(signed_permutation(v, *p, q)) for p in symmetries) for v in points}
+
+
 # q = 8 and 9 have 4 and 6 units, so projective targets are real orbits
 SMALL_SPACES = [(2, q) for q in range(2, 7)] + [(2, 8), (2, 9), (3, 2), (3, 3)]
+# spaces whose signed-permutation orbits differ in size (q = 2 has -1 = 1);
+# at n = 2, q = 4 every orbit has 4 points
+UNEVEN_ORBIT_SPACES = [(2, 2), (2, 8), (2, 9), (3, 2), (3, 3)]
 
 
 class TestPoints:
@@ -181,6 +199,29 @@ class TestDistances:
             got = dist_projective(PointP(q, x), PointP(q, y), t_max)
             assert got == naive_distance(x, y, q, t_max, projective=True)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from("AP"),
+        st.sampled_from([(2, q) for q in range(2, 13)] + [(3, 2), (3, 3), (3, 4)]),
+        st.data(),
+    )
+    def test_signed_permutation_keeps_naive_norm(self, space, nq, data):
+        # gamma -> P gamma P^-1 carries gamma x = y to a witness for (P x, P y)
+        # of the same max norm, so the least norms agree
+        n, q = nq
+        projective = space == "P"
+        cls = (lambda v: min(orbit(v, q))) if projective else (lambda v: v)
+        vector = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
+        x = data.draw(vector.filter(lambda v: math.gcd(q, *v) == 1))
+        y = data.draw(vector.filter(lambda v: math.gcd(q, *v) == 1))
+        perm = data.draw(st.permutations(range(n)))
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        px, py = (cls(signed_permutation(v, perm, signs, q)) for v in (x, y))
+        t_max = 8 * q
+        want = naive_distance(cls(x), cls(y), q, t_max, projective).min_max_norm
+        assert want is not None
+        assert naive_distance(px, py, q, t_max, projective).min_max_norm == want
+
     def test_mismatched_spaces(self):
         with pytest.raises(InvalidInput):
             dist_affine(PointA(5, (1, 0)), PointA(7, (1, 0)), 3)
@@ -227,6 +268,33 @@ class TestDiameterProfile:
     @pytest.mark.parametrize("n, q", SMALL_SPACES)
     def test_matches_naive_profile(self, space, n, q):
         assert diameter_profile(space, n, q, 8 * q) == naive_profile(space, n, q, 8 * q)
+
+    @pytest.mark.parametrize("space", ["A", "P"])
+    @pytest.mark.parametrize("n, q", UNEVEN_ORBIT_SPACES)
+    def test_naive_profile_spaces_have_uneven_orbits(self, space, n, q):
+        # a profile walks one source per orbit and counts it for every member,
+        # so test_matches_naive_profile checks the weighting where sizes differ
+        assert (n, q) in SMALL_SPACES
+        assert len({len(o) for o in signed_permutation_orbits(space, n, q)}) > 1
+
+    @pytest.mark.parametrize(
+        "space, n, q, t_max",
+        [("A", 2, 4, 1), ("A", 2, 8, 7), ("A", 2, 9, 8), ("P", 2, 8, 1), ("P", 2, 8, 2),
+         ("P", 2, 8, 3), ("P", 2, 9, 2), ("A", 3, 4, 1), ("P", 3, 4, 1)],
+    )
+    def test_budget_names_first_unresolved_pair(self, space, n, q, t_max):
+        # the first source in sorted order with an unreached target, and the
+        # first such target, found by naive scans of every ordered pair
+        projective = space == "P"
+        points = projective_points(n, q) if projective else affine_points(n, q)
+        src, missing = next(
+            (x, y)
+            for x, y in product(points, repeat=2)
+            if naive_distance(x, y, q, t_max, projective).min_max_norm is None
+        )
+        with pytest.raises(BudgetExceeded) as exc:
+            diameter_profile(space, n, q, t_max)
+        assert str(exc.value) == f"pair ({src}, {missing}) unresolved within norm {t_max}"
 
     @pytest.mark.parametrize("space", ["A", "P"])
     @pytest.mark.parametrize("n", [0, -1])

@@ -341,6 +341,14 @@ class TestNoTracebackEscapes:
         assert record["results"]["error"]
         jsonschema.validate(record, SCHEMA)
 
+    def test_skewed_point_beyond_index_range_reports_budget(self, capsys):
+        code, out, _ = run(["sweep", "skewed", "--T", str(10**110)], capsys)
+        assert code == 3
+        (record,) = records_from(out)
+        space = (2 * 10**110 + 1) ** 2
+        error = f"candidate space {space} exceeds budget {10**9}"
+        assert record["results"] == {"error": error, "flagged": True}
+
     def test_closed_stdout_exits_one_quietly(self):
         # stdout is a pipe whose reader is already gone, as in `| head -1`
         # once head has exited

@@ -331,6 +331,21 @@ class TestSkewedCounts:
         assert candidate_count(EnumSpec(n=3, caps=(1, 2, 3))) == 3**3 * 5**3 * 7
         assert candidate_count(EnumSpec(n=1, caps=(4,))) == 1
 
+    def test_candidate_count_beyond_index_range(self):
+        # ladders longer than len() accepts (~9.2e18) are sized exactly
+        assert candidate_count(EnumSpec(n=2, caps=(10**110, 10**220))) == (2 * 10**110 + 1) ** 2
+        spec = EnumSpec(n=2, caps=(10**30, 10**30), q=10, x=((1, 0), (0, 1)))
+        # 1 + 10Z and 10Z in [-10^30, 10^30]
+        assert candidate_count(spec) == 2 * 10**29 * (2 * 10**29 + 1)
+
+    def test_budget_beyond_index_range(self):
+        spec = EnumSpec(n=2, caps=(10**110, 10**220))
+        message = f"candidate space {(2 * 10**110 + 1) ** 2} exceeds budget {10**9}"
+        for scan in (count_sl, iter_sl, exists_sl):
+            with pytest.raises(BudgetExceeded) as exc:
+                scan(spec)
+            assert str(exc.value) == message
+
     @pytest.mark.parametrize("t", [1, 3, 10])
     def test_budget_is_exact_in_fixed_parts(self, monkeypatch, t):
         spec = EnumSpec(n=2, caps=(t, t))
