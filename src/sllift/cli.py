@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage or parse error (or stdout closed by its
 reader), 2 verified-infeasible input, 3 search or enumeration budget
-exhausted.
+exhausted, 130 interrupted (SIGINT; "interrupted" on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class _UsageError(Exception):
@@ -409,6 +410,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except SlliftError as exc:
         if isinstance(exc, (InvalidInput, NotExtendableModQ)):
             code, prefix = EXIT_INFEASIBLE, "infeasible"

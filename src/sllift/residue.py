@@ -1,9 +1,10 @@
 """Exact modular arithmetic: signed representatives, factorization, CRT,
 and complete n-th root extraction for moduli with small prime factors.
 
-n-th roots are found per prime power p^e of the modulus: an exhaustive unit
-scan mod p, then one closed-form Hensel step per level up to p^e, then CRT.
-Each modulus is factorized once per process (factorize is cached).
+n-th roots are found per prime power p^e of the modulus: Tonelli-Shanks mod
+p for square roots at odd p, an exhaustive unit scan mod p otherwise, then
+one closed-form Hensel step per level up to p^e, then CRT.  Each modulus is
+factorized once per process (factorize is cached).
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .errors import (
     TooManyRoots,
 )
 
-# Largest prime for which an exhaustive unit scan is allowed; larger primes
-# raise PrimeTooLarge instead of silently sampling.
+# Largest prime for which an exhaustive unit scan (every n but square roots
+# at odd p) is allowed; larger primes raise PrimeTooLarge instead of
+# silently sampling.
 PRIME_SCAN_BOUND = 10**6
 
 _TRIAL_BOUND = 10**6
@@ -209,21 +211,61 @@ def crt(congruences) -> Residue:
     return Residue(x, m)
 
 
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of the unit a (reduced mod the odd prime p), or None
+    if a is a non-residue (Tonelli-Shanks; Cohen, Alg. 1.5.1).
+
+    Write p - 1 = 2^s q with q odd.  The least non-residue z (searched from
+    2, so re-runs agree) makes c = z^q an element of order 2^s.  The loop
+    keeps r^2 = a t, with t of order 2^i < 2^m and c of order 2^m; the
+    factor b = c^(2^(m-i-1)) has order 2^(i+1), so t b^2 has order below
+    2^i, and t reaches 1 within s steps.
+    """
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:  # Euler's criterion
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, half, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    if r * r % p != a:
+        raise AssertionError(f"Tonelli-Shanks root {r} of {a} mod {p} failed its check")
+    return r
+
+
 @lru_cache(maxsize=1 << 16)
 def _prime_power_roots(alpha: int, n: int, p: int, e: int) -> tuple[int, ...]:
     """All n-th roots of alpha among units mod p^e; callers reduce alpha mod p^e.
 
-    Roots mod p come from an exhaustive unit scan.  A root b mod p^j extends
-    by Hensel's step: with f(x) = x^n - alpha, f(b + t p^j) = f(b) +
-    t d p^j mod p^(j+1), where d = n b^(n-1).  So with r = (alpha - b^n)/p^j
-    mod p, a nonzero d mod p admits exactly t = r/d, while d = 0 (p | n)
-    admits every t when r = 0 and none otherwise.  Every root mod p^(j+1)
-    reduces to one mod p^j, so the result is exact.
+    Square roots mod an odd p come from Tonelli-Shanks as the pair r, p - r
+    (distinct, as p is odd); every other root set mod p comes from an
+    exhaustive unit scan, which raises PrimeTooLarge above PRIME_SCAN_BOUND.
+    A root b mod p^j extends by Hensel's step: with f(x) = x^n - alpha,
+    f(b + t p^j) = f(b) + t d p^j mod p^(j+1), where d = n b^(n-1).  So with
+    r = (alpha - b^n)/p^j mod p, a nonzero d mod p admits exactly t = r/d,
+    while d = 0 (p | n) admits every t when r = 0 and none otherwise.  Every
+    root mod p^(j+1) reduces to one mod p^j, so the result is exact.
     """
-    if p > PRIME_SCAN_BOUND:
-        raise PrimeTooLarge(f"prime {p} exceeds scan bound {PRIME_SCAN_BOUND}")
     alpha_p = alpha % p
-    roots = [b for b in range(1, p) if pow(b, n, p) == alpha_p]
+    if n == 2 and p > 2:
+        r = _sqrt_mod_prime(alpha_p, p)
+        roots = [] if r is None else [r, p - r]
+    elif p > PRIME_SCAN_BOUND:
+        raise PrimeTooLarge(f"prime {p} exceeds scan bound {PRIME_SCAN_BOUND}")
+    else:
+        roots = [b for b in range(1, p) if pow(b, n, p) == alpha_p]
     pj = p
     for _ in range(e - 1):
         lifted = []
@@ -243,7 +285,8 @@ def nth_roots(a: Residue, n: int, limit: int | None = None) -> tuple[Residue, ..
     """The complete set of beta in (Z/mZ)^x with beta^n = a, sorted by value.
 
     Computed per prime power of m and combined by CRT; exact, never sampled.
-    Requires gcd(a, m) = 1 and every prime of m below PRIME_SCAN_BOUND.
+    Requires gcd(a, m) = 1, and for n != 2 every prime of m below
+    PRIME_SCAN_BOUND (square roots have no prime bound).
     With limit set, raises TooManyRoots once the root count would pass it.
     """
     if n < 1:

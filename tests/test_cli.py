@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import pytest
 
 from sllift import cli, lifting, records
 from sllift.errors import NotExtendableModQ, SearchExhausted, SlliftError
-from sllift.intmat import IntMatrix
+from sllift.intmat import IntMatrix, det
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "record.schema.json")
 SRC_PATH = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -35,16 +37,20 @@ def strip_time(record):
     return {k: v for k, v in record.items() if k != "wall_time_ms"}
 
 
-def run_process(argv, stdout=subprocess.PIPE):
-    """Run the sllift CLI in a fresh interpreter, as a shell would."""
+def process_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_PATH, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_process(argv, stdout=subprocess.PIPE):
+    """Run the sllift CLI in a fresh interpreter, as a shell would."""
     return subprocess.run(
         [sys.executable, "-m", "sllift.cli", *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
-        env=env,
+        env=process_env(),
         timeout=120,
     )
 
@@ -179,12 +185,25 @@ class TestHardCommand:
         assert err == f"usage error: --budget needs B >= 1, got {budget}\n"
 
     def test_prime_too_large_is_budget_exit(self, capsys):
-        # 1000003 is a prime above the residue scan bound (PrimeTooLarge)
-        code, out, err = run(["hard", "--n", "2", "--q", "1000003"], capsys)
+        # 1000003 is a prime above the residue scan bound, and 3 | 1000002,
+        # so cube roots mod it go through the unit scan (PrimeTooLarge)
+        code, out, err = run(["hard", "--n", "3", "--q", "1000003"], capsys)
         assert code == 3
         assert out == ""
         assert err.startswith("budget exhausted: ")
         assert len(err.strip().splitlines()) == 1
+
+    def test_square_roots_beyond_the_scan_bound(self, capsys):
+        q = 1000003
+        code, out, _ = run(["hard", "--n", "2", "--q", str(q), "--json"], capsys)
+        assert code == 0
+        record = json.loads(out)
+        jsonschema.validate(record, SCHEMA)
+        res = record["results"]
+        w = res["witness"]
+        assert w["modulus"] == q * q
+        assert pow(w["beta"], 2, q * q) == w["alpha"]
+        assert det(IntMatrix(res["x"])) % q == 1
 
 
 class TestSweeps:
@@ -312,6 +331,22 @@ class TestSweeps:
         b = [strip_time(r) for r in records_from(out2)]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    @pytest.mark.parametrize(
+        "n,q,digest",
+        [
+            (2, "2..2000", "8fa6daa4e316ab9f490d22999b5504510ddca4cf9516c49dd320bca41cd9384e"),
+            (3, "2..1000", "daf5cd65896bceb600d564f48ec3a25285597ba148d5ad4463996ba59207f0e6"),
+        ],
+        ids=["n2", "n3"],
+    )
+    def test_roots_records_match_pinned_digest(self, capsys, n, q, digest):
+        # sha256 of the records (wall_time_ms dropped) as the exhaustive
+        # unit scan produced them for every n; square roots now come from
+        # Tonelli-Shanks and must not change a byte
+        _, out, _ = run(["sweep", "roots", "--q", q, "--n", str(n)], capsys)
+        rows = [strip_time(r) for r in records_from(out)]
+        assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == digest
+
 
 class TestNoTracebackEscapes:
     def test_lift_beyond_float_range_emits_null_estimate(self):
@@ -360,6 +395,28 @@ class TestNoTracebackEscapes:
             os.close(write_end)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+
+    def test_sigint_exits_130_with_one_line(self):
+        # the n = 3 points from T = 3 on take seconds each, so the sweep is
+        # still running when the signal arrives after the first record
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "sllift.cli", *"sweep counts --n 3 --T 1..9".split()],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=process_env(),
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            rest, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert json.loads(first)["params"] == {"T": 1, "n": 3}
+        assert proc.returncode == cli.EXIT_INTERRUPTED == 130
+        assert err == "interrupted\n"
+        assert all(json.loads(line)["command"] == "sweep-counts" for line in rest.splitlines())
 
 
 class TestRecords:

@@ -37,6 +37,39 @@ def tree_roots(alpha, n, p, e):
     return tuple(sorted(cur))
 
 
+def scan_prime_power_roots(alpha, n, p, e):
+    """The root finder as it was before square roots left the unit scan:
+    every unit mod p tried, then the same closed-form Hensel steps."""
+    alpha_p = alpha % p
+    roots = [b for b in range(1, p) if pow(b, n, p) == alpha_p]
+    pj = p
+    for _ in range(e - 1):
+        lifted = []
+        for b in roots:
+            r = (alpha - pow(b, n, pj * p)) // pj % p
+            d = n * pow(b, n - 1, p) % p
+            if d:
+                lifted.append(b + r * pow(d, -1, p) % p * pj)
+            elif r == 0:
+                lifted.extend(range(b, pj * p, pj))
+        roots = lifted
+        pj *= p
+    return tuple(sorted(roots))
+
+
+def scan_square_roots_of_every_unit(p):
+    """The unit scan mod p for every alpha at once: alpha -> sorted roots."""
+    table = {}
+    for b in range(1, p):
+        table.setdefault(b * b % p, []).append(b)
+    return table
+
+
+# odd primes whose p - 1 carries a high power of 2 (2^4, 2^5, 2^6, 2^8, 2^16),
+# so Tonelli-Shanks runs several rounds of its inner loop
+TWO_ADIC_PRIMES = [17, 97, 193, 257, 65537]
+
+
 @st.composite
 def prime_power_cases(draw):
     """(alpha, n, p, e) with alpha a unit mod p^e, often a perfect power."""
@@ -154,10 +187,34 @@ class TestNthRoots:
     def test_prime_too_large(self):
         import sllift.residue as res
 
-        big = 1000003  # prime just above the scan bound
+        # 1000003 is a prime just above the scan bound, and 3 | 1000002, so
+        # cube roots still go through the unit scan
+        big = 1000003
         with pytest.raises(PrimeTooLarge):
-            nth_roots(Residue(1, big), 2)
+            nth_roots(Residue(1, big), 3)
         assert big > res.PRIME_SCAN_BOUND
+
+    def test_square_roots_match_the_unit_scan_for_every_unit(self):
+        for p in small_primes(2000)[1:] + [65537]:
+            table = scan_square_roots_of_every_unit(p)
+            for a in range(1, p):
+                assert _prime_power_roots(a, 2, p, 1) == tuple(table.get(a, ())), (a, p)
+
+    @given(
+        st.sampled_from(small_primes(2000)[1:] + TWO_ADIC_PRIMES),
+        st.integers(1, 4),
+        st.integers(1, 10**12),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_square_roots_match_the_old_scan_at_prime_powers(self, p, e, seed, square):
+        pe = p**e
+        alpha = seed % pe
+        if alpha % p == 0:
+            alpha += 1
+        if square:
+            alpha = alpha * alpha % pe
+        assert _prime_power_roots(alpha, 2, p, e) == scan_prime_power_roots(alpha, 2, p, e)
 
     def test_root_cap(self):
         # 3*5*7*11*13 gives 2^5 square roots of 1
@@ -201,6 +258,22 @@ class TestNthRoots:
         a = seed % (p - 1) + 1 if p > 2 else 1
         got = [r.value for r in nth_roots(Residue(a, p), n)]
         assert got == sorted(nthroot_mod(a, n, p, all_roots=True)), (a, n, p)
+
+    @pytest.mark.parametrize(
+        "p",
+        # beyond the scan bound; 998244353 = 119 * 2^23 + 1 and
+        # 3221225473 = 3 * 2^30 + 1 run long Tonelli-Shanks inner loops
+        [1000003, 10**9 + 7, 998244353, 2**31 - 1, 3221225473, 2**61 - 1],
+    )
+    def test_square_roots_match_sympy_at_large_primes(self, nthroot_mod, p):
+        rng = random.Random(p)
+        for a in [1, 2, 3, p - 1, *(rng.randrange(1, p) for _ in range(20))]:
+            got = [r.value for r in nth_roots(Residue(a, p), 2)]
+            assert got == sorted(nthroot_mod(a, 2, p, all_roots=True)), (a, p)
+            # each root lifts to exactly one root mod p^2
+            lifted = _prime_power_roots(a, 2, p, 2)
+            assert sorted(r % p for r in lifted) == got
+            assert all(pow(r, 2, p * p) == a for r in lifted)
 
 
 class TestIsNthPowerResidue:
