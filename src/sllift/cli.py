@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or parse error (or stdout closed by its
 reader), 2 verified-infeasible input, 3 search or enumeration budget
-exhausted, 130 interrupted (SIGINT; "interrupted" on stderr, no traceback).
+exhausted, 130 interrupted (SIGINT; "interrupted" on stderr, no traceback;
+a sweep still writes --csv and --jsonl with the points it completed).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 import time
 
-from . import actions, hardness, lifting, oracle, records
+from . import actions, hardness, lifting, oracle, records, residue
 from .errors import BudgetExceeded, InvalidInput, NotExtendableModQ, SlliftError
 from .intmat import IntMatrix, norm_report
 
@@ -76,12 +77,6 @@ def parse_range(text: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise _UsageError(f"bad range {text!r}") from None
-
-
-def _emit(record: dict, lines: list[str]) -> None:
-    line = records.dumps(record)
-    print(line)
-    lines.append(line)
 
 
 def _certificate_results(cert: lifting.LiftCertificate) -> dict:
@@ -214,7 +209,7 @@ def _sweep_roots(args, point_seed):
 
     def point(q):
         # exact ceil(q^((k-1)/k)): the least t with t^k >= q^(k-1)
-        target = hardness._int_nth_root(q ** (args.k - 1) - 1, args.k) + 1
+        target = residue.int_nth_root(q ** (args.k - 1) - 1, args.k) + 1
         witness = hardness.find_large_root(q, args.n, args.budget, target=target)
         other = hardness.small_p_factor_root(q, args.n, args.k)
         if other is not None and other.abs_n_beta > witness.abs_n_beta:
@@ -308,26 +303,33 @@ def _cmd_sweep(args) -> int:
     runner, needed = _SWEEPS[args.kind]
     if getattr(args, needed) is None:
         raise _UsageError(f"sweep {args.kind} needs --{needed}")
-    lines: list[str] = []
     all_records: list[dict] = []
     failures = 0
     points = 0
     start = time.monotonic()
-    for params, thunk in runner(args, args.seed):
-        points += 1
-        try:
-            results = thunk()
-        except (SlliftError, OverflowError) as exc:  # a q or T beyond float or index range
-            results = {"error": str(exc), "flagged": True}
-            failures += 1
-        wall = int(1000 * (time.monotonic() - start))
-        record = records.make_record(f"sweep-{args.kind}", params, args.seed, results, wall)
-        _emit(record, lines)
-        all_records.append(record)
-    if args.csv:
-        records.write_atomic(args.csv, records.to_csv(all_records))
-    if args.jsonl:
-        records.write_atomic(args.jsonl, "\n".join(lines) + "\n")
+
+    def save():
+        if args.csv:
+            records.write_atomic(args.csv, records.to_csv(all_records))
+        if args.jsonl:
+            records.write_atomic(args.jsonl, "".join(records.dumps(r) + "\n" for r in all_records))
+
+    try:
+        for params, thunk in runner(args, args.seed):
+            points += 1
+            try:
+                results = thunk()
+            except (SlliftError, OverflowError) as exc:  # a q or T beyond float or index range
+                results = {"error": str(exc), "flagged": True}
+                failures += 1
+            wall = int(1000 * (time.monotonic() - start))
+            record = records.make_record(f"sweep-{args.kind}", params, args.seed, results, wall)
+            print(records.dumps(record))
+            all_records.append(record)
+    except KeyboardInterrupt:
+        save()  # an interrupted sweep keeps the points it completed
+        raise
+    save()
     if points and failures == points:
         return EXIT_BUDGET
     return EXIT_OK

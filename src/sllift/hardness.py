@@ -19,6 +19,7 @@ from .residue import (
     Residue,
     crt,
     factorize,
+    int_nth_root,
     is_nth_power_residue,
     is_prime,
     nth_roots,
@@ -158,29 +159,13 @@ def small_p_factor_root(q: int, n: int, k: int) -> RootWitness | None:
     return best
 
 
-def _int_nth_root(x: int, n: int) -> int:
-    """Floor of the n-th root of x >= 0, by exact integer Newton iteration.
-
-    The start 2^ceil(bits(x)/n) lies above the root, and each step stays at
-    or above the floor while it decreases, so the first non-decrease is it.
-    """
-    if x < 2:
-        return x
-    r = 1 << -(-x.bit_length() // n)
-    while True:
-        s = ((n - 1) * r + x // r ** (n - 1)) // n
-        if s >= r:
-            return r
-        r = s
-
-
 def is_rational_nth_power(num: int, den: int, n: int) -> bool:
     """Whether num/den (positive integers) is the n-th power of a rational."""
     g = math.gcd(num, den)
     num //= g
     den //= g
-    rn = _int_nth_root(num, n)
-    rd = _int_nth_root(den, n)
+    rn = int_nth_root(num, n)
+    rd = int_nth_root(den, n)
     return rn**n == num and rd**n == den
 
 

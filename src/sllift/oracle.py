@@ -17,6 +17,11 @@ Without a congruence (q = 0), counts use the symmetry gamma -> D gamma P,
 where P is a signed column permutation and D negates the last row when
 det P = -1.  It keeps det 1 and every row's cap, so only primitive, sorted,
 non-negative first rows are enumerated, each weighted by its orbit size.
+At n = 2 that reduction leaves a closed form, which count_sl and
+norm_count_table use instead of the walk: 4 + 16 times the number of
+coprime pairs in [1, t1] x [1, t2], summed by Moebius inversion
+(docs/decisions.md).  The kernel stays the reference the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from itertools import accumulate, chain, combinations_with_replacement, product
 from . import intmat
 from .errors import BudgetExceeded, InvalidInput
 from .intmat import IntMatrix
-from .residue import ext_gcd
+from .residue import ext_gcd, small_primes
 
 DEFAULT_BUDGET = 10**9
 
@@ -217,9 +222,30 @@ def _walk(spec: EnumSpec, weighted: bool = False):
                     yield weight, rows, head, solution
 
 
+def _mobius(limit: int) -> list[int]:
+    """mu(k) for 0 <= k <= limit (mu(0) unused), sieved prime by prime."""
+    mu = [1] * (limit + 1)
+    for p in small_primes(limit + 1):
+        mu[p::p] = [-v for v in mu[p::p]]
+        mu[p * p :: p * p] = [0] * len(range(p * p, limit + 1, p * p))
+    return mu
+
+
+def _count_sl2(t1: int, t2: int, mu: list[int] | None = None) -> int:
+    """count_sl at n = 2 and q = 0: 4 + 16 #{coprime (b, d) in [1, t1] x [1, t2]},
+    the pairs counted as sum of mu(e) floor(t1/e) floor(t2/e); mu must
+    cover min(t1, t2)."""
+    top = min(t1, t2)
+    if mu is None:
+        mu = _mobius(top)
+    return 4 + 16 * sum(mu[e] * (t1 // e) * (t2 // e) for e in range(1, top + 1))
+
+
 def count_sl(spec: EnumSpec) -> int:
     """Exact count of gamma in SL_n(Z) within the caps (and congruence)."""
     _check_budget(spec)
+    if spec.n == 2 and spec.q == 0:
+        return _count_sl2(*spec.caps)
     return sum(w * _size(sol) for w, _, _, sol in _walk(spec, spec.q == 0))
 
 
@@ -299,8 +325,10 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
 def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     """Rows (T, exact count within norm T, count / T^(n^2 - n)).
 
-    A single threshold is one count_sl; several share one walk over the box
-    of the largest, bucketed by exact max norm.
+    A single threshold is one count_sl.  Several are budgeted once, at the
+    largest; at n = 2 each is then one closed-form count on a shared mu
+    table, otherwise they share one walk over the box of the largest,
+    bucketed by exact max norm.
     """
     t_list = [int(t) for t in t_list]
     if any(t < 0 for t in t_list):
@@ -312,10 +340,14 @@ def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     else:
         spec = EnumSpec(n=n, caps=(t_max,) * n)
         _check_budget(spec)
-        exact = [0] * (t_max + 1)
-        for weight, rows, head, sol in _walk(spec, weighted=True):
-            top = max(map(abs, chain(head, *rows)), default=0)
-            for pair in _pairs(sol):
-                exact[max(top, *map(abs, pair))] += weight
-        counts = list(accumulate(exact))
+        if n == 2:
+            mu = _mobius(t_max)
+            counts = {t: _count_sl2(t, t, mu) if t else 0 for t in t_list}
+        else:
+            exact = [0] * (t_max + 1)
+            for weight, rows, head, sol in _walk(spec, weighted=True):
+                top = max(map(abs, chain(head, *rows)), default=0)
+                for pair in _pairs(sol):
+                    exact[max(top, *map(abs, pair))] += weight
+            counts = list(accumulate(exact))
     return [(t, counts[t], counts[t] / t**exponent if t else None) for t in t_list]

@@ -113,6 +113,31 @@ def small_primes(limit: int) -> list[int]:
     return [i for i in range(limit) if flags[i]]
 
 
+def int_nth_root(x: int, n: int) -> int:
+    """Floor of the n-th root of x >= 0, by exact integer Newton iteration.
+
+    The start 2^ceil(bits(x)/n) lies above the root, and each step stays at
+    or above the floor while it decreases, so the first non-decrease is it.
+    """
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(c: int) -> tuple[int, int] | None:
+    """(r, k) with c = r^k for the least k >= 2, or None if c is no power."""
+    for k in range(2, c.bit_length() + 1):
+        r = int_nth_root(c, k)
+        if r**k == c:
+            return r, k
+    return None
+
+
 def _rho_factor(n: int, rng: random.Random, steps: int) -> tuple[int | None, int]:
     """One Brent-cycle Pollard rho attempt on composite n within steps
     squarings: (a nontrivial factor, or None if the cycle closes on n or
@@ -149,10 +174,11 @@ def _rho_factor(n: int, rng: random.Random, steps: int) -> tuple[int | None, int
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of m >= 1 as ((p1, e1), ...) with p1 < p2 < ...
 
-    Trial division below 10^6, then a deterministic-seeded Pollard rho for
-    any surviving cofactor.  Raises FactorLimitExceeded if a composite
-    cofactor resists the rho budget: _RHO_STEPS squarings shared by all
-    attempts of the call, so it returns within seconds.
+    Trial division below 10^6; a composite cofactor that is a perfect power
+    r^k becomes r with k times its multiplicity, by exact integer roots, and
+    any other goes to a deterministic-seeded Pollard rho.  Raises FactorLimitExceeded if a
+    composite cofactor resists the rho budget: _RHO_STEPS squarings shared
+    by all attempts of the call, so it returns within seconds.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -176,17 +202,21 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
             out[n] = out.get(n, 0) + 1
         else:
             rng = random.Random(_RHO_SEED ^ n)
-            stack = [n]
+            stack = [(n, 1)]  # (cofactor, multiplicity), so each is split once
             steps = _RHO_STEPS
             while stack:
-                c = stack.pop()
+                c, e = stack.pop()
                 if is_prime(c):
-                    out[c] = out.get(c, 0) + 1
+                    out[c] = out.get(c, 0) + e
+                    continue
+                power = _perfect_power(c)
+                if power:
+                    stack.append((power[0], e * power[1]))
                     continue
                 if steps < 2:
                     raise FactorLimitExceeded(f"cofactor {c} of {m}")
                 d, steps = _rho_factor(c, rng, steps)
-                stack.extend((c,) if d is None else (d, c // d))
+                stack.extend(((c, e),) if d is None else ((d, e), (c // d, e)))
     return tuple(sorted(out.items()))
 
 

@@ -193,17 +193,26 @@ class TestHardCommand:
         assert err.startswith("budget exhausted: ")
         assert len(err.strip().splitlines()) == 1
 
-    def test_square_roots_beyond_the_scan_bound(self, capsys):
-        q = 1000003
+    @staticmethod
+    def check_square_root_witness(q, capsys):
         code, out, _ = run(["hard", "--n", "2", "--q", str(q), "--json"], capsys)
         assert code == 0
         record = json.loads(out)
         jsonschema.validate(record, SCHEMA)
         res = record["results"]
-        w = res["witness"]
+        w = {k.removesuffix("_str"): int(v) for k, v in res["witness"].items() if k != "method"}
         assert w["modulus"] == q * q
         assert pow(w["beta"], 2, q * q) == w["alpha"]
-        assert det(IntMatrix(res["x"])) % q == 1
+        x = IntMatrix([[int(v) for v in row] for row in res["x"]])
+        assert det(x) % q == 1
+
+    def test_square_roots_beyond_the_scan_bound(self, capsys):
+        self.check_square_root_witness(1000003, capsys)
+
+    def test_modulus_square_of_a_large_prime(self, capsys):
+        # q^2 = (2^61 - 1)^2 has no factor rho finds within its step budget;
+        # factorize splits it as a perfect square instead
+        self.check_square_root_witness(2**61 - 1, capsys)
 
 
 class TestSweeps:
@@ -396,11 +405,13 @@ class TestNoTracebackEscapes:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
 
-    def test_sigint_exits_130_with_one_line(self):
+    def test_sigint_exits_130_with_one_line(self, tmp_path):
         # the n = 3 points from T = 3 on take seconds each, so the sweep is
         # still running when the signal arrives after the first record
+        jsonl = tmp_path / "points.jsonl"
+        argv = [*"sweep counts --n 3 --T 1..9 --jsonl".split(), str(jsonl)]
         proc = subprocess.Popen(
-            [sys.executable, "-u", "-m", "sllift.cli", *"sweep counts --n 3 --T 1..9".split()],
+            [sys.executable, "-u", "-m", "sllift.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -417,6 +428,8 @@ class TestNoTracebackEscapes:
         assert proc.returncode == cli.EXIT_INTERRUPTED == 130
         assert err == "interrupted\n"
         assert all(json.loads(line)["command"] == "sweep-counts" for line in rest.splitlines())
+        # the file keeps exactly the records printed before the signal
+        assert jsonl.read_text() == first + rest
 
 
 class TestRecords:

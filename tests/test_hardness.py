@@ -7,7 +7,6 @@ from sllift import hardness
 from sllift.errors import InvalidInput, SieveExhausted
 from sllift.hardness import (
     RootWitness,
-    _int_nth_root,
     find_large_root,
     hard_instance,
     is_rational_nth_power,
@@ -17,7 +16,7 @@ from sllift.hardness import (
 )
 from sllift.intmat import IntMatrix, det
 from sllift.oracle import iter_lifts, min_lift_norm
-from sllift.residue import Residue, signed
+from sllift.residue import Residue, int_nth_root, signed
 
 
 def brute_best(modulus, n, budget):
@@ -164,7 +163,7 @@ class TestSmallNthPowers:
 class TestIntNthRoot:
     @staticmethod
     def check(x, n):
-        r = _int_nth_root(x, n)
+        r = int_nth_root(x, n)
         assert r**n <= x < (r + 1) ** n, (x, n)
         return r
 

@@ -23,6 +23,7 @@ from sllift.oracle import (
     min_lift_norm,
     norm_count_table,
 )
+from sllift.residue import factorize
 
 
 def _det(g):
@@ -116,7 +117,7 @@ class TestCountSl:
         assert count_sl(EnumSpec(n=1, caps=(3,), q=5, x=((1,),))) == 1
         assert count_sl(EnumSpec(n=1, caps=(3,), q=9, x=((1,),))) == 1
 
-    def test_numpy_and_pure_paths_agree(self):
+    def test_count_exists_and_order_match_brute_force(self):
         # differential against a brute-force scan of the whole box: counts,
         # existence and the full iteration order (lexicographic row-major)
         rng = random.Random(5)
@@ -313,6 +314,40 @@ class TestNormCountTable:
         for t, count, ratio in norm_count_table(2, [1, 2]):
             assert type(t) is int and type(count) is int
             assert ratio is None or type(ratio) is float
+
+
+def kernel_count(caps):
+    """count_sl by the unweighted kernel walk: q = 1 constrains nothing."""
+    return count_sl(EnumSpec(n=len(caps), caps=caps, q=1, x=((0,) * len(caps),) * len(caps)))
+
+
+class TestClosedFormN2:
+    def test_matches_kernel(self):
+        caps = [(t1, t2) for t1 in range(1, 31) for t2 in range(1, 31)]
+        caps += [(t, t * t) for t in range(1, 13)]
+        for t1, t2 in caps:
+            assert count_sl(EnumSpec(n=2, caps=(t1, t2))) == kernel_count((t1, t2)), (t1, t2)
+
+    def test_totient_sum(self):
+        # N_2(T) = 32 sum_{k <= T} phi(k) - 12 (Hardy-Wright 18.5)
+        phi_sum = 0
+        for t in range(1, 301):
+            phi_sum += math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(t))
+            assert count_sl(EnumSpec(n=2, caps=(t, t))) == 32 * phi_sum - 12, t
+
+    def test_table_matches_single_thresholds(self):
+        thresholds = list(range(1, 201)) + [0, 57, 3]
+        table = norm_count_table(2, thresholds)
+        assert table == [norm_count_table(2, [t])[0] for t in thresholds]
+
+    def test_table_budget_names_largest_threshold(self, monkeypatch):
+        size = (2 * 40 + 1) ** 2
+        monkeypatch.setenv("SLLIFT_BUDGET", str(size - 1))
+        with pytest.raises(BudgetExceeded) as exc:
+            norm_count_table(2, [1, 40, 2])
+        assert str(exc.value) == f"candidate space {size} exceeds budget {size - 1}"
+        monkeypatch.setenv("SLLIFT_BUDGET", str(size))
+        assert norm_count_table(2, [1, 40, 2])[1][1] == count_sl(EnumSpec(n=2, caps=(40, 40)))
 
 
 class TestSkewedCounts:

@@ -143,6 +143,28 @@ class TestFactorize:
         with pytest.raises(FactorLimitExceeded):
             factorize(10000000000000000051 * 30000000000000000041)
 
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            ((2**61 - 1) ** 2, ((2**61 - 1, 2),)),
+            ((10**13 + 37) ** 2, ((10**13 + 37, 2),)),
+            (1000003**3 * (10**13 + 37) ** 2, ((1000003, 3), (10**13 + 37, 2))),
+            ((10**13 + 51) ** 3, ((10**13 + 51, 3),)),
+            ((1000003 * 1000033) ** 2, ((1000003, 2), (1000033, 2))),
+            (3**5 * (2**61 - 1) ** 6, ((3, 5), (2**61 - 1, 6))),
+        ],
+    )
+    def test_perfect_powers_of_large_primes(self, m, expected):
+        # rho needs ~sqrt(p) squarings to split p^k for p beyond ~10^13,
+        # past its step budget; the exact k-th root check splits them
+        assert factorize(m) == expected
+
+    def test_power_of_a_composite_is_split_once(self):
+        # p * q takes most of the shared rho budget (see above); splitting
+        # each of the three copies of (p q)^3 separately would exhaust it
+        p, q = 178291937587, 11885758236351349429
+        assert factorize((p * q) ** 3) == ((p, 3), (q, 3))
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
