@@ -23,7 +23,7 @@ from .hardness import (
 )
 from .intmat import IntMatrix, NormReport, adjugate_mod, det, maximal_minors, norm_report, size_reduce, solve_mod
 from .lifting import LiftCertificate, complete_rows, is_extendable, lift, lift_rows, random_sl_matrix
-from .oracle import EnumSpec, count_sl, iter_lifts, iter_sl, min_lift_norm, norm_count_table
+from .oracle import EnumSpec, count_sl, iter_sl, min_lift_norm, norm_count_table
 from .residue import Residue, crt, factorize, is_nth_power_residue, nth_roots
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Command-line surface: lift, hard, and sweep subcommands.
 
-Exit codes: 0 success, 1 usage or parse error (or stdout closed by its
-reader), 2 verified-infeasible input, 3 search or enumeration budget
-exhausted, 130 interrupted (SIGINT; "interrupted" on stderr, no traceback;
-a sweep still writes --csv and --jsonl with the points it completed).
+Exit codes: 0 success, 1 usage or parse error (or an unwritable output path,
+or stdout closed by its reader), 2 verified-infeasible input, 3 search or
+enumeration budget exhausted, 130 interrupted (SIGINT; "interrupted" on stderr,
+no traceback; a sweep still writes --csv and --jsonl with the points it completed).
 """
 
 from __future__ import annotations
@@ -265,6 +265,9 @@ def _sweep_diameter(args, point_seed):
 
 
 def _sweep_lift_bounds(args, point_seed):
+    if args.samples < 1:
+        raise _UsageError(f"--samples needs S >= 1, got {args.samples}")
+
     def point(q):
         scale_first = q * math.log2(q + 2)
         scale_last = q * q * math.log2(q + 2)
@@ -303,16 +306,25 @@ def _cmd_sweep(args) -> int:
     runner, needed = _SWEEPS[args.kind]
     if getattr(args, needed) is None:
         raise _UsageError(f"sweep {args.kind} needs --{needed}")
+    outputs = [(flag, path) for flag, path in (("csv", args.csv), ("jsonl", args.jsonl)) if path]
+    for flag, path in outputs:  # refuse before the sweep runs, not after
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise _UsageError(f"--{flag} {path} is not a file in an existing directory")
     all_records: list[dict] = []
     failures = 0
     points = 0
     start = time.monotonic()
 
     def save():
-        if args.csv:
-            records.write_atomic(args.csv, records.to_csv(all_records))
-        if args.jsonl:
-            records.write_atomic(args.jsonl, "".join(records.dumps(r) + "\n" for r in all_records))
+        for flag, path in outputs:
+            if flag == "csv":
+                text = records.to_csv(all_records)
+            else:
+                text = "".join(records.dumps(r) + "\n" for r in all_records)
+            try:
+                records.write_atomic(path, text)
+            except OSError as exc:
+                raise _UsageError(f"cannot write --{flag} {path}: {exc.strerror or exc}") from None
 
     try:
         for params, thunk in runner(args, args.seed):

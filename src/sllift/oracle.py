@@ -19,13 +19,14 @@ det P = -1.  It keeps det 1 and every row's cap, so only primitive, sorted,
 non-negative first rows are enumerated, each weighted by its orbit size.
 At n = 2 that reduction leaves a closed form, which count_sl and
 norm_count_table use instead of the walk: 4 + 16 times the number of
-coprime pairs in [1, t1] x [1, t2], summed by Moebius inversion
-(docs/decisions.md).  The kernel stays the reference the tests compare
-against.
+coprime pairs in [1, t1] x [1, t2], summed by Moebius inversion, and at
+t1 = t2 = T read off one totient prefix (docs/decisions.md).  The kernel
+stays the reference the tests compare against.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -231,13 +232,11 @@ def _mobius(limit: int) -> list[int]:
     return mu
 
 
-def _count_sl2(t1: int, t2: int, mu: list[int] | None = None) -> int:
+def _count_sl2(t1: int, t2: int) -> int:
     """count_sl at n = 2 and q = 0: 4 + 16 #{coprime (b, d) in [1, t1] x [1, t2]},
-    the pairs counted as sum of mu(e) floor(t1/e) floor(t2/e); mu must
-    cover min(t1, t2)."""
+    the pairs counted as sum of mu(e) floor(t1/e) floor(t2/e)."""
     top = min(t1, t2)
-    if mu is None:
-        mu = _mobius(top)
+    mu = _mobius(top)
     return 4 + 16 * sum(mu[e] * (t1 // e) * (t2 // e) for e in range(1, top + 1))
 
 
@@ -265,14 +264,7 @@ def iter_sl(spec: EnumSpec):
 def exists_sl(spec: EnumSpec) -> bool:
     """Whether at least one matching matrix exists."""
     _check_budget(spec)
-    return next(_walk(spec, spec.q == 0), None) is not None
-
-
-def iter_lifts(x: IntMatrix, q: int, cap: int):
-    """All lifts of x mod q with uniform max norm at most cap."""
-    n = x.nrows
-    spec = EnumSpec(n=n, caps=(cap,) * n, q=q, x=x.rows)
-    return iter_sl(spec)
+    return next(_walk(spec), None) is not None
 
 
 def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
@@ -301,34 +293,26 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
         return None
 
     def exists(t: int) -> bool:
-        spec = EnumSpec(n=n, caps=(t,) * n, q=q, x=x.rows)
-        return exists_sl(spec)
+        return exists_sl(EnumSpec(n=n, caps=(t,) * n, q=q, x=x.rows))
 
-    if exists(t):
-        return t
-    while t < t_max:
-        t_next = min(2 * t, t_max)
-        if exists(t_next):
-            steps = sorted({abs(v) for r in residues for v in _ladder(r, q, t_next) if abs(v) > t})
-            lo, hi = 0, len(steps) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if exists(steps[mid]):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return steps[lo]
-        t = t_next
-    return None
+    low = t - 1  # no lift has max norm <= low
+    while True:
+        if exists(t):
+            # the last step has a lift as t does, so the bisection never probes it
+            steps = sorted({abs(v) for r in residues for v in _ladder(r, q, t) if abs(v) > low})
+            return steps[bisect.bisect_left(steps, True, hi=len(steps) - 1, key=exists)]
+        if t >= t_max:
+            return None
+        low, t = t, min(2 * t, t_max)
 
 
 def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     """Rows (T, exact count within norm T, count / T^(n^2 - n)).
 
     A single threshold is one count_sl.  Several are budgeted once, at the
-    largest; at n = 2 each is then one closed-form count on a shared mu
-    table, otherwise they share one walk over the box of the largest,
-    bucketed by exact max norm.
+    largest; at n = 2 they are then read off one totient prefix,
+    N_2(T) = 32 (phi(1) + ... + phi(T)) - 12, otherwise they share one walk
+    over the box of the largest, bucketed by exact max norm.
     """
     t_list = [int(t) for t in t_list]
     if any(t < 0 for t in t_list):
@@ -340,14 +324,16 @@ def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     else:
         spec = EnumSpec(n=n, caps=(t_max,) * n)
         _check_budget(spec)
-        if n == 2:
-            mu = _mobius(t_max)
-            counts = {t: _count_sl2(t, t, mu) if t else 0 for t in t_list}
+        if n == 2:  # exact[k] = 32 phi(k), sieved prime by prime, less 12 at k = 1
+            exact = list(range(0, 32 * t_max + 1, 32))
+            for p in small_primes(t_max + 1):
+                exact[p::p] = [v - v // p for v in exact[p::p]]
+            exact[1] -= 12
         else:
             exact = [0] * (t_max + 1)
             for weight, rows, head, sol in _walk(spec, weighted=True):
                 top = max(map(abs, chain(head, *rows)), default=0)
                 for pair in _pairs(sol):
                     exact[max(top, *map(abs, pair))] += weight
-            counts = list(accumulate(exact))
+        counts = list(accumulate(exact))
     return [(t, counts[t], counts[t] / t**exponent if t else None) for t in t_list]

@@ -16,7 +16,7 @@ import math
 from sllift.hardness import find_large_root, hard_instance, small_p_factor_root, trace_family_instance
 from sllift.intmat import IntMatrix, det
 from sllift.lifting import complete_rows, is_extendable, lift, random_sl_matrix
-from sllift.oracle import EnumSpec, count_sl, iter_lifts, min_lift_norm, norm_count_table
+from sllift.oracle import EnumSpec, count_sl, iter_sl, min_lift_norm, norm_count_table
 from sllift.actions import diameter_profile, projective_bad_pair
 from sllift.cli import _mix
 from sllift.intmat import solve_mod
@@ -93,7 +93,7 @@ def build_3():
         bound = math.ceil(inst.lower_bound)
         minimum = min_lift_norm(inst.x, q, 4 * q * q)
         checked = 0
-        for g in iter_lifts(inst.x, q, minimum + q):
+        for g in iter_sl(EnumSpec(n=2, caps=(minimum + q,) * 2, q=q, x=inst.x.rows)):
             a1, a2 = g[0][0], g[1][1]
             if (alpha * a1 + a2) % m2 != n_beta:
                 violations += 1

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -262,6 +263,13 @@ class TestSweeps:
         assert out == ""
         assert err == f"usage error: --budget needs B >= 1, got {budget}\n"
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_lift_bounds_samples_below_one_is_usage_error(self, capsys, samples):
+        code, out, err = run(["sweep", "lift-bounds", "--q", "5", "--samples", samples], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: --samples needs S >= 1, got {samples}\n"
+
     def test_missing_range_is_usage_error(self, capsys):
         code, _, err = run(["sweep", "roots"], capsys)
         assert code == 1
@@ -392,6 +400,30 @@ class TestNoTracebackEscapes:
         space = (2 * 10**110 + 1) ** 2
         error = f"candidate space {space} exceeds budget {10**9}"
         assert record["results"] == {"error": error, "flagged": True}
+
+    def test_csv_in_missing_directory_is_refused_before_the_sweep(self, tmp_path):
+        path = str(tmp_path / "missing" / "out.csv")
+        proc = run_process(["sweep", "counts", "--n", "2", "--T", "1..2", "--csv", path])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"usage error: --csv {path} is not a file in an existing directory\n"
+
+    def test_jsonl_at_a_directory_is_refused_before_the_sweep(self, tmp_path):
+        proc = run_process(["sweep", "counts", "--n", "2", "--T", "1..2", "--jsonl", str(tmp_path)])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"usage error: --jsonl {tmp_path} is not a file in an existing directory\n"
+
+    def test_failed_final_write_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def no_space(path, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+        monkeypatch.setattr(records, "write_atomic", no_space)
+        path = str(tmp_path / "out.csv")
+        code, out, err = run(["sweep", "counts", "--n", "2", "--T", "1..2", "--csv", path], capsys)
+        assert code == 1
+        assert len(records_from(out)) == 2
+        assert err == f"usage error: cannot write --csv {path}: {os.strerror(errno.ENOSPC)}\n"
 
     def test_closed_stdout_exits_one_quietly(self):
         # stdout is a pipe whose reader is already gone, as in `| head -1`

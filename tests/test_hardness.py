@@ -15,7 +15,7 @@ from sllift.hardness import (
     trace_family_instance,
 )
 from sllift.intmat import IntMatrix, det
-from sllift.oracle import iter_lifts, min_lift_norm
+from sllift.oracle import EnumSpec, iter_sl, min_lift_norm
 from sllift.residue import Residue, int_nth_root, signed
 
 
@@ -210,7 +210,7 @@ class TestHardInstance:
         m2 = 64
         a_val = inst.witness.alpha.value
         nb = (2 * inst.witness.beta.value) % m2
-        lifts = list(iter_lifts(inst.x, 8, 30))
+        lifts = list(iter_sl(EnumSpec(n=2, caps=(30, 30), q=8, x=inst.x.rows)))
         assert lifts  # the scan reaches at least one lift
         for g in lifts:
             a1, a2 = g[0][0], g[1][1]
@@ -254,7 +254,7 @@ class TestTraceFamily:
 
     def test_trace_invariant_on_lifts(self):
         inst = trace_family_instance(1)
-        for g in iter_lifts(inst.x, 8, 20):
+        for g in iter_sl(EnumSpec(n=2, caps=(20, 20), q=8, x=inst.x.rows)):
             assert (g[0][0] + g[1][1]) % 64 == 18
 
     def test_rejects_zero(self):

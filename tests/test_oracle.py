@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sllift import oracle
@@ -18,7 +18,6 @@ from sllift.oracle import (
     count_sl,
     current_budget,
     exists_sl,
-    iter_lifts,
     iter_sl,
     min_lift_norm,
     norm_count_table,
@@ -235,7 +234,7 @@ class TestMinLiftNorm:
             # independent scan: grow T one unit at a time over the raw range
             direct = None
             for t in range(1, 3 * q + 1):
-                if any(True for _ in iter_lifts(x, q, t)):
+                if any(True for _ in iter_sl(EnumSpec(n=2, caps=(t, t), q=q, x=x.rows))):
                     direct = t
                     break
             # the ladder answer is the exact max-norm, the unit scan finds
@@ -246,7 +245,7 @@ class TestMinLiftNorm:
                 assert got is not None and got <= direct
                 assert any(
                     max(abs(e) for r in g for e in r) == got
-                    for g in iter_lifts(x, q, got)
+                    for g in iter_sl(EnumSpec(n=2, caps=(got, got), q=q, x=x.rows))
                 )
 
     def test_oracle_lower_bounds_lift(self):
@@ -292,6 +291,31 @@ class TestMinLiftNorm:
                 x, q, t_max, lambda t: exists_sl(EnumSpec(n=n, caps=(t,) * n, q=q, x=x.rows))
             )
             assert (got, probes) == expected, q
+
+    @pytest.mark.parametrize(
+        "rows, q, t_max, answer, probes",
+        [
+            # trace family m = 1, 2, 3 at t_max = 2 q^2
+            (((5, 0), (0, 5)), 8, 128, 13, [3, 6, 12, 24, 19, 16, 13]),
+            (((9, 0), (0, 9)), 16, 512, 41, [7, 14, 28, 56, 41, 39]),
+            (((13, 0), (0, 13)), 24, 1152, 85, [11, 22, 44, 88, 61, 83]),
+            # random n = 2 classes at t_max = 4 q^2
+            (((1, 5), (3, 2)), 7, 196, 5, [3, 6, 5, 4]),
+            (((2, 9), (9, 11)), 12, 576, 10, [3, 6, 12, 10, 9]),
+            (((3, 4), (11, 3)), 12, 576, 8, [4, 8]),
+            (((1, 14), (11, 15)), 20, 1600, 26, [9, 18, 36, 26, 21, 25]),
+        ],
+    )
+    def test_probe_sequence_is_pinned(self, monkeypatch, rows, q, t_max, answer, probes):
+        seen = []
+
+        def spy(spec):
+            seen.append(spec.caps[0])
+            return exists_sl(spec)
+
+        monkeypatch.setattr(oracle, "exists_sl", spy)
+        assert min_lift_norm(IntMatrix(rows), q, t_max) == answer
+        assert seen == probes
 
 
 class TestNormCountTable:
@@ -431,6 +455,23 @@ class TestKernelProperties:
         caps = tuple(data.draw(st.integers(1, top)) for _ in range(n))
         zero = ((0,) * n,) * n
         assert count_sl(EnumSpec(n=n, caps=caps, q=1, x=zero)) == count_sl(EnumSpec(n=n, caps=caps))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([(2, 400), (3, 3)]).flatmap(
+            lambda n_top: st.tuples(
+                st.just(n_top[0]), st.lists(st.integers(0, n_top[1]), min_size=1, max_size=6)
+            )
+        )
+    )
+    @example((2, [400, 0, 7, 7, 1]))
+    @example((3, [3, 0, 1, 3, 2]))
+    def test_table_matches_count_sl_per_threshold(self, n_ts):
+        # unsorted, repeated and zero thresholds, each row one count_sl
+        n, ts = n_ts
+        counts = [count_sl(EnumSpec(n=n, caps=(t,) * n)) if t else 0 for t in ts]
+        expected = [(t, c, c / t ** (n * n - n) if t else None) for t, c in zip(ts, counts)]
+        assert norm_count_table(n, ts) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([1, 2, 3]), st.data())
