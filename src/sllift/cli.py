@@ -61,8 +61,8 @@ def parse_matrix(text: str, n: int | None = None) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def parse_range(text: str) -> list[int]:
-    """Either 'a..b' (inclusive), a comma list, or a single integer."""
+def parse_range(text: str) -> range | list[int]:
+    """Either 'a..b' (inclusive, a lazy range), a comma list, or a single integer."""
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
@@ -72,7 +72,7 @@ def parse_range(text: str) -> list[int]:
             raise _UsageError(f"bad range {text!r}") from None
         if hi < lo:
             raise _UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     try:
         return [int(part) for part in text.split(",")]
     except ValueError:
@@ -94,6 +94,10 @@ def _certificate_results(cert: lifting.LiftCertificate) -> dict:
 
 
 def _cmd_lift(args) -> int:
+    if args.n < 2:
+        raise _UsageError(f"--n needs n >= 2, got {args.n}")
+    if args.q < 1:
+        raise _UsageError(f"--q needs q >= 1, got {args.q}")
     start = time.monotonic()
     try:
         if args.matrix == "random":
@@ -337,7 +341,8 @@ def _cmd_sweep(args) -> int:
             wall = int(1000 * (time.monotonic() - start))
             record = records.make_record(f"sweep-{args.kind}", params, args.seed, results, wall)
             print(records.dumps(record))
-            all_records.append(record)
+            if outputs:  # kept only for the files, so a long sweep's memory stays flat
+                all_records.append(record)
     except KeyboardInterrupt:
         save()  # an interrupted sweep keeps the points it completed
         raise

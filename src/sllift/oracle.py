@@ -10,6 +10,11 @@ last row: a two-variable linear Diophantine equation, solved exactly on the
 two residue ladders.  Its solutions are none, one arithmetic progression, or
 the full grid when both cofactors vanish, always in ascending
 (v_{n-1}, v_n) order, so matrices come out in lexicographic row-major order.
+The cofactors are linear in row n - 1: c = K(P) r, with P the first n - 2
+rows and r row n - 1.  The walk builds the map K once per prefix P (n
+maximal_minors calls, or at n = 3 the cross-product matrix of the first
+row) and gets each r's c from n dot products.  At n = 2 the prefix is empty
+and c = (-r_1, r_0), with no map built.
 Entries constrained mod q range over their residue ladders x_ij + qZ
 intersected with [-cap, cap].
 
@@ -31,6 +36,7 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations_with_replacement, product
+from operator import mul
 
 from . import intmat
 from .errors import BudgetExceeded, InvalidInput
@@ -118,11 +124,19 @@ def _check_budget(spec: EnumSpec) -> None:
         raise BudgetExceeded(f"candidate space {size} exceeds budget {limit}")
 
 
-def _cofactors(rows) -> tuple[int, ...]:
-    """c with det(rows + (v,)) = <v, c> for every last row v."""
-    if len(rows) == 1:
-        return (-rows[0][1], rows[0][0])
-    return intmat.maximal_minors(IntMatrix(rows))
+def _cofactor_map(prefix) -> tuple[tuple[int, ...], ...]:
+    """Rows of K with K r = maximal_minors(prefix + (r,)) for every row r.
+
+    Those cofactors are linear in r, so column k of K is the cofactor vector
+    of prefix + (e_k,): one maximal_minors call per column.  At n = 3 they
+    are the cross product first x r, and K is the first row's cross-product
+    matrix.
+    """
+    if len(prefix) == 1:
+        a0, a1, a2 = prefix[0]
+        return ((0, -a2, a1), (a2, 0, -a0), (-a1, a0, 0))
+    units = IntMatrix.identity(len(prefix) + 2).rows
+    return tuple(zip(*(intmat.maximal_minors(IntMatrix(prefix + (e,))) for e in units)))
 
 
 def _index_span(k0: int, step: int, size: int) -> tuple[int, int]:
@@ -209,18 +223,26 @@ def _walk(spec: EnumSpec, weighted: bool = False):
         firsts = [(_orbit_size(f), f) for f in firsts if math.gcd(*f) == 1]
     else:
         firsts = [(1, f) for f in product(*lads[0]) if math.gcd(*f) == 1]
-    middle = [list(product(*lads[i])) for i in range(1, n - 1)]
-    heads = list(product(*lads[n - 1][: n - 2]))
     lad1, lad2 = lads[n - 1][n - 2], lads[n - 1][n - 1]
+    if n == 2:  # the prefix is empty and c = (-r_1, r_0): no map to build
+        for weight, r in firsts:
+            solution = _solve2(-r[1], r[0], 1, lad1, lad2)
+            if solution:
+                yield weight, (r,), (), solution
+        return
+    middle = [list(product(*lads[i])) for i in range(1, n - 2)]
+    lasts = list(product(*lads[n - 2]))
+    heads = list(product(*lads[n - 1][: n - 2]))
     for weight, first in firsts:
         for rest in product(*middle):
-            rows = (first,) + rest
-            c = _cofactors(rows)
-            for head in heads:
-                r = 1 - sum(v * cj for v, cj in zip(head, c))
-                solution = _solve2(c[n - 2], c[n - 1], r, lad1, lad2)
-                if solution:
-                    yield weight, rows, head, solution
+            prefix = (first,) + rest
+            k = _cofactor_map(prefix)
+            for r in lasts:
+                c = tuple(sum(map(mul, row, r)) for row in k)
+                for head in heads:
+                    solution = _solve2(c[n - 2], c[n - 1], 1 - sum(map(mul, head, c)), lad1, lad2)
+                    if solution:
+                        yield weight, prefix + (r,), head, solution
 
 
 def _mobius(limit: int) -> list[int]:

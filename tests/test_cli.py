@@ -76,7 +76,7 @@ class TestParsing:
         assert "expected 3x3" in err
 
     def test_range_forms(self):
-        assert cli.parse_range("2..5") == [2, 3, 4, 5]
+        assert list(cli.parse_range("2..5")) == [2, 3, 4, 5]
         assert cli.parse_range("16,101,1024") == [16, 101, 1024]
         assert cli.parse_range("7") == [7]
 
@@ -86,6 +86,16 @@ class TestParsing:
 
 
 class TestLiftCommand:
+    @pytest.mark.parametrize("matrix", ["1,0;0,1", "random"])
+    @pytest.mark.parametrize("n, q, flag", [("2", "0", "--q"), ("2", "-3", "--q"), ("1", "5", "--n")])
+    def test_range_checks_are_usage_errors(self, capsys, n, q, flag, matrix):
+        if n == "1" and matrix != "random":
+            matrix = "1"
+        code, out, err = run(["lift", "--n", n, "--q", q, "--matrix", matrix], capsys)
+        assert code == cli.EXIT_USAGE == 1
+        assert out == ""
+        assert err.startswith(f"usage error: {flag} needs")
+
     def test_success(self, capsys):
         code, out, _ = run(
             ["lift", "--n", "2", "--q", "8", "--matrix", "5,0;0,5", "--json"], capsys
@@ -462,6 +472,28 @@ class TestNoTracebackEscapes:
         assert all(json.loads(line)["command"] == "sweep-counts" for line in rest.splitlines())
         # the file keeps exactly the records printed before the signal
         assert jsonl.read_text() == first + rest
+
+
+    def test_huge_range_streams_and_exits_130(self):
+        # 10^12 points: the range stays lazy, so the first record comes at once
+        argv = "sweep counts --n 2 --T 1..1000000000000".split()
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "sllift.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=process_env(),
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert json.loads(first)["results"]["count"] == 20
+        assert proc.returncode == cli.EXIT_INTERRUPTED == 130
+        assert err == "interrupted\n"
 
 
 class TestRecords:

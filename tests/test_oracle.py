@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from sllift import oracle
 from sllift.errors import BudgetExceeded, InvalidInput
 from sllift.hardness import hard_instance, trace_family_instance
-from sllift.intmat import IntMatrix, adjugate_mod
+from sllift.intmat import IntMatrix, adjugate_mod, maximal_minors
 from sllift.lifting import lift, random_sl_matrix
 from sllift.oracle import (
     EnumSpec,
@@ -479,3 +480,134 @@ class TestKernelProperties:
         t = data.draw(st.integers(1, {1: 5, 2: 30, 3: 2}[n]))
         table = norm_count_table(n, range(1, t + 1))
         assert norm_count_table(n, [t]) == [table[t - 1]]
+
+
+def reference_walk(spec, weighted=False):
+    """The walk with one maximal_minors call per (first, middle rows)
+    combination, as it was before the cofactor map: the differential
+    reference for oracle._walk."""
+
+    def cofactors(rows):
+        if len(rows) == 1:
+            return (-rows[0][1], rows[0][0])
+        return maximal_minors(IntMatrix(rows))
+
+    n, lads = spec.n, oracle._ladders(spec)
+    if n == 1:
+        if 1 in lads[0][0]:
+            yield 1, (), (), (True, (range(1, 2),))
+        return
+    if weighted:
+        firsts = itertools.combinations_with_replacement(range(spec.caps[0] + 1), n)
+        firsts = [(oracle._orbit_size(f), f) for f in firsts if math.gcd(*f) == 1]
+    else:
+        firsts = [(1, f) for f in itertools.product(*lads[0]) if math.gcd(*f) == 1]
+    middle = [list(itertools.product(*lads[i])) for i in range(1, n - 1)]
+    heads = list(itertools.product(*lads[n - 1][: n - 2]))
+    lad1, lad2 = lads[n - 1][n - 2], lads[n - 1][n - 1]
+    for weight, first in firsts:
+        for rest in itertools.product(*middle):
+            rows = (first,) + rest
+            c = cofactors(rows)
+            for head in heads:
+                r = 1 - sum(v * cj for v, cj in zip(head, c))
+                solution = oracle._solve2(c[n - 2], c[n - 1], r, lad1, lad2)
+                if solution:
+                    yield weight, rows, head, solution
+
+
+def kernel_answers(spec):
+    return count_sl(spec), list(iter_sl(spec)), exists_sl(spec)
+
+
+def seeded_n3_specs():
+    """n = 3 specs, uniform and skewed caps, without and with a congruence
+    (q = 2..7, targets from fixed seeds)."""
+    caps_list = [(1, 1, 1), (2, 2, 2), (1, 2, 3), (3, 1, 2), (2, 3, 1), (1, 1, 4)]
+    specs = [EnumSpec(n=3, caps=caps) for caps in caps_list]
+    rng = random.Random(15)
+    for q in range(2, 8):
+        for caps in rng.sample(caps_list, 3):
+            x = random_sl_matrix(3, q, rng.randrange(2**30))
+            specs.append(EnumSpec(n=3, caps=caps, q=q, x=x.rows))
+    return specs
+
+
+def odd_row_target(n):
+    """The identity with row n - 1 all ones: det 1, and mod 2 with caps 1
+    that row takes 2^n > n values."""
+    return tuple((1,) * n if i == n - 2 else tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+@st.composite
+def prefix_and_row(draw):
+    """(P, r): n - 2 prefix rows and a row r at n = 3..6, the prefix often
+    rank-deficient (a zero row or a repeated multiple) and r sometimes zero."""
+    n = draw(st.integers(3, 6))
+    row = st.tuples(*[st.integers(-3, 3)] * n)
+    prefix = draw(st.lists(row, min_size=n - 2, max_size=n - 2))
+    shape = draw(st.sampled_from(["any", "zero row", "multiple"]))
+    if shape == "zero row":
+        prefix[draw(st.integers(0, n - 3))] = (0,) * n
+    elif shape == "multiple" and n >= 4:
+        prefix[-1] = tuple(draw(st.integers(-2, 2)) * v for v in prefix[0])
+    r = draw(st.one_of(st.just((0,) * n), row))
+    return tuple(prefix), r
+
+
+class TestCofactorMap:
+    @settings(max_examples=200, deadline=None)
+    @given(prefix_and_row())
+    @example((((0, 0, 0),), (1, 2, 3)))
+    @example((((1, 2, 3, 4), (2, 4, 6, 8)), (1, 0, 0, 1)))
+    @example((((0,) * 6,) * 4, (0,) * 6))
+    def test_map_times_row_is_maximal_minors(self, prefix_row):
+        prefix, r = prefix_row
+        k = oracle._cofactor_map(prefix)
+        assert tuple(sum(map(operator.mul, row, r)) for row in k) == maximal_minors(
+            IntMatrix(prefix + (r,))
+        )
+
+    @pytest.mark.parametrize("spec", seeded_n3_specs(), ids=repr)
+    def test_walk_matches_per_row_reference(self, spec, monkeypatch):
+        answers = kernel_answers(spec)
+        monkeypatch.setattr(oracle, "_walk", reference_walk)
+        assert kernel_answers(spec) == answers
+
+    def test_n3_table_matches_per_row_reference(self, monkeypatch):
+        table = norm_count_table(3, [1, 2, 3])
+        monkeypatch.setattr(oracle, "_walk", reference_walk)
+        assert norm_count_table(3, [1, 2, 3]) == table
+        assert [count for _, count, _ in table] == [3480, 67704, 640824]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EnumSpec(n=3, caps=(2, 2, 2)),
+            EnumSpec(n=3, caps=(1, 3, 2), q=3, x=((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+            EnumSpec(n=4, caps=(1,) * 4, q=2, x=odd_row_target(4)),
+            EnumSpec(n=5, caps=(1,) * 5, q=2, x=odd_row_target(5)),
+        ],
+        ids=repr,
+    )
+    def test_at_most_n_minors_per_prefix(self, spec, monkeypatch):
+        calls = []
+        real = oracle.intmat.maximal_minors
+        monkeypatch.setattr(oracle.intmat, "maximal_minors", lambda b: calls.append(b) or real(b))
+        n, lads = spec.n, oracle._ladders(spec)
+
+        def walked_prefixes(weighted):
+            if weighted:  # orbit representatives of the first row
+                firsts = itertools.combinations_with_replacement(range(spec.caps[0] + 1), n)
+            else:
+                firsts = itertools.product(*lads[0])
+            primitive = sum(1 for f in firsts if math.gcd(*f) == 1)
+            return primitive * math.prod(len(lad) for row in lads[1 : n - 2] for lad in row)
+
+        runs = [(count_sl, spec.q == 0), (lambda s: list(iter_sl(s)), False), (exists_sl, False)]
+        for run, weighted in runs:
+            calls.clear()
+            run(spec)
+            assert len(calls) <= n * walked_prefixes(weighted)
+        # one elimination per choice of row n - 1 would exceed the bound
+        assert len(list(itertools.product(*lads[n - 2]))) > n
