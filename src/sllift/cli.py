@@ -317,7 +317,6 @@ def _cmd_sweep(args) -> int:
     all_records: list[dict] = []
     failures = 0
     points = 0
-    start = time.monotonic()
 
     def save():
         for flag, path in outputs:
@@ -333,6 +332,7 @@ def _cmd_sweep(args) -> int:
     try:
         for params, thunk in runner(args, args.seed):
             points += 1
+            start = time.monotonic()
             try:
                 results = thunk()
             except (SlliftError, OverflowError) as exc:  # a q or T beyond float or index range

@@ -7,7 +7,8 @@ Enumeration contract: every entry is fixed except the last two of the last
 row.  With c the maximal minors of the first n - 1 rows, those two satisfy
 c_{n-1} v_{n-1} + c_n v_n = 1 - <head, c>, where head is the rest of the
 last row: a two-variable linear Diophantine equation, solved exactly on the
-two residue ladders.  Its solutions are none, one arithmetic progression, or
+two residue ladders with one extended gcd per c (only the right-hand side
+depends on head).  Its solutions are none, one arithmetic progression, or
 the full grid when both cofactors vanish, always in ascending
 (v_{n-1}, v_n) order, so matrices come out in lexicographic row-major order.
 The cofactors are linear in row n - 1: c = K(P) r, with P the first n - 2
@@ -25,8 +26,14 @@ non-negative first rows are enumerated, each weighted by its orbit size.
 At n = 2 that reduction leaves a closed form, which count_sl and
 norm_count_table use instead of the walk: 4 + 16 times the number of
 coprime pairs in [1, t1] x [1, t2], summed by Moebius inversion, and at
-t1 = t2 = T read off one totient prefix (docs/decisions.md).  The kernel
-stays the reference the tests compare against.
+t1 = t2 = T read off one totient prefix (docs/decisions.md).
+
+At n >= 3 a count needs only how many last rows complete each c, so
+count_sl sums weight * H(c), with H(c) the number of last rows v in the
+ladders with <v, c> = 1, memoised within the call.  At q = 0 the last
+row's box is invariant under signed permutations of its entries, so H is
+keyed by sorted |c|.  norm_count_table at n >= 3 is one such count per
+threshold.  The walk stays the reference the tests compare counts against.
 """
 
 from __future__ import annotations
@@ -147,13 +154,15 @@ def _index_span(k0: int, step: int, size: int) -> tuple[int, int]:
     return -(-lo // step), hi // step
 
 
-def _solve2(a: int, b: int, r: int, lad1: range, lad2: range):
+def _solve2(a: int, b: int, r: int, lad1: range, lad2: range, gcd=None):
     """Pairs (u, v) in lad1 x lad2 with a*u + b*v = r, in ascending order.
 
     Returns None, or (grid, (us, vs)) with non-empty ranges us and vs: the
     pairs are product(us, vs) when grid is true and zip(us, vs) otherwise.
     Writing u and v by their ladder indices keeps the equation linear, so
-    one extended gcd gives every solution and the box clips it.
+    one extended gcd gives every solution and the box clips it.  A caller
+    that varies only r may pass that gcd,
+    ext_gcd(a * lad1.step, b * lad2.step), to skip recomputing it.
     """
     if not lad1 or not lad2:
         return None
@@ -167,7 +176,7 @@ def _solve2(a: int, b: int, r: int, lad1: range, lad2: range):
         if rem or not 0 <= k < len(lad1 if a else lad2):
             return None
         return True, ((lad1[k : k + 1], lad2) if a else (lad1, lad2[k : k + 1]))
-    g, s, t = ext_gcd(a, b)
+    g, s, t = gcd or ext_gcd(a, b)
     if r % g:
         return None
     # indices (s*r/g + p*m, t*r/g + w*m); p > 0 so u ascends with m
@@ -204,45 +213,65 @@ def _orbit_size(row) -> int:
     return size
 
 
-def _walk(spec: EnumSpec, weighted: bool = False):
-    """(weight, rows, head, solution) for every fixed part with solutions.
-
-    rows are the first n - 1 rows and head the last row's first n - 2
-    entries; each pair of solution completes the matrix rows + (head + pair,).
-    They come in lexicographic order with weight 1, unless weighted (q = 0
-    only): then the first row runs over orbit representatives, weighted by
-    orbit size.
-    """
-    n, lads = spec.n, _ladders(spec)
-    if n == 1:
-        if 1 in lads[0][0]:
-            yield 1, (), (), (True, (range(1, 2),))
-        return
+def _first_rows(spec: EnumSpec, lads, weighted: bool = False) -> list:
+    """(weight, row) for every primitive first row, in lexicographic order
+    with weight 1, unless weighted (q = 0 only): then over orbit
+    representatives, weighted by orbit size."""
     if weighted:
-        firsts = combinations_with_replacement(range(spec.caps[0] + 1), n)
-        firsts = [(_orbit_size(f), f) for f in firsts if math.gcd(*f) == 1]
-    else:
-        firsts = [(1, f) for f in product(*lads[0]) if math.gcd(*f) == 1]
-    lad1, lad2 = lads[n - 1][n - 2], lads[n - 1][n - 1]
-    if n == 2:  # the prefix is empty and c = (-r_1, r_0): no map to build
-        for weight, r in firsts:
-            solution = _solve2(-r[1], r[0], 1, lad1, lad2)
-            if solution:
-                yield weight, (r,), (), solution
-        return
+        firsts = combinations_with_replacement(range(spec.caps[0] + 1), spec.n)
+        return [(_orbit_size(f), f) for f in firsts if math.gcd(*f) == 1]
+    return [(1, f) for f in product(*lads[0]) if math.gcd(*f) == 1]
+
+
+def _cofactors(spec: EnumSpec, lads, weighted: bool = False):
+    """(weight, rows, c) for the first n - 1 rows of every walked matrix
+    (n >= 3, lads = _ladders(spec)), with c their cofactor vector:
+    det(rows + (v,)) = <v, c>.  The first row runs over _first_rows."""
+    n = spec.n
     middle = [list(product(*lads[i])) for i in range(1, n - 2)]
     lasts = list(product(*lads[n - 2]))
-    heads = list(product(*lads[n - 1][: n - 2]))
-    for weight, first in firsts:
+    for weight, first in _first_rows(spec, lads, weighted):
         for rest in product(*middle):
             prefix = (first,) + rest
             k = _cofactor_map(prefix)
             for r in lasts:
-                c = tuple(sum(map(mul, row, r)) for row in k)
-                for head in heads:
-                    solution = _solve2(c[n - 2], c[n - 1], 1 - sum(map(mul, head, c)), lad1, lad2)
-                    if solution:
-                        yield weight, prefix + (r,), head, solution
+                yield weight, prefix + (r,), tuple(sum(map(mul, row, r)) for row in k)
+
+
+def _completions(c, last):
+    """(head, solution) for every head with solutions: head runs over the
+    ladders of the last row's first n - 2 entries in lexicographic order,
+    and solution solves <c, head + (v_{n-1}, v_n)> = 1 on the last two.
+    Only the right-hand side depends on head, so one extended gcd serves all.
+    """
+    a, b, lad1, lad2 = c[-2], c[-1], last[-2], last[-1]
+    gcd = ext_gcd(a * lad1.step, b * lad2.step)
+    for head in product(*last[:-2]):
+        solution = _solve2(a, b, 1 - sum(map(mul, head, c)), lad1, lad2, gcd)
+        if solution:
+            yield head, solution
+
+
+def _walk(spec: EnumSpec):
+    """(rows, head, solution) for every fixed part with solutions, in
+    lexicographic order: each pair of solution completes the matrix
+    rows + (head + pair,)."""
+    n, lads = spec.n, _ladders(spec)
+    last = lads[-1]
+    if n == 1:
+        if 1 in last[0]:
+            yield (), (), (True, (range(1, 2),))
+        return
+    if n == 2:  # the prefix is empty and c = (-r_1, r_0): one head, nothing to share
+        lad1, lad2 = last
+        for _, r in _first_rows(spec, lads):
+            solution = _solve2(-r[1], r[0], 1, lad1, lad2)
+            if solution:
+                yield (r,), (), solution
+        return
+    for _, rows, c in _cofactors(spec, lads):
+        for head, solution in _completions(c, last):
+            yield rows, head, solution
 
 
 def _mobius(limit: int) -> list[int]:
@@ -263,11 +292,25 @@ def _count_sl2(t1: int, t2: int) -> int:
 
 
 def count_sl(spec: EnumSpec) -> int:
-    """Exact count of gamma in SL_n(Z) within the caps (and congruence)."""
+    """Exact count of gamma in SL_n(Z) within the caps (and congruence).
+
+    At n >= 3 the sum of weight * H(c) (module docstring), with H memoised
+    for this call only.
+    """
     _check_budget(spec)
-    if spec.n == 2 and spec.q == 0:
+    n, q = spec.n, spec.q
+    if n == 2 and q == 0:
         return _count_sl2(*spec.caps)
-    return sum(w * _size(sol) for w, _, _, sol in _walk(spec, spec.q == 0))
+    if n <= 2:  # each c comes once and has one head: nothing to share
+        return sum(_size(sol) for _, _, sol in _walk(spec))
+    lads, hits, total = _ladders(spec), {}, 0
+    for weight, _, c in _cofactors(spec, lads, q == 0):
+        key = c if q else tuple(sorted(map(abs, c)))  # the box is symmetric at q = 0
+        h = hits.get(key)
+        if h is None:
+            h = hits[key] = sum(_size(sol) for _, sol in _completions(key, lads[-1]))
+        total += weight * h
+    return total
 
 
 def iter_sl(spec: EnumSpec):
@@ -278,7 +321,7 @@ def iter_sl(spec: EnumSpec):
     _check_budget(spec)
     return (
         rows + (head + pair,)
-        for _, rows, head, sol in _walk(spec)
+        for rows, head, sol in _walk(spec)
         for pair in _pairs(sol)
     )
 
@@ -331,31 +374,25 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
 def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     """Rows (T, exact count within norm T, count / T^(n^2 - n)).
 
-    A single threshold is one count_sl.  Several are budgeted once, at the
-    largest; at n = 2 they are then read off one totient prefix,
-    N_2(T) = 32 (phi(1) + ... + phi(T)) - 12, otherwise they share one walk
-    over the box of the largest, bucketed by exact max norm.
+    Several thresholds are budgeted once, at the largest, before any count.
+    At n = 2 they are then read off one totient prefix,
+    N_2(T) = 32 (phi(1) + ... + phi(T)) - 12; otherwise each distinct
+    threshold is one count_sl.
     """
     t_list = [int(t) for t in t_list]
     if any(t < 0 for t in t_list):
         raise InvalidInput("thresholds must be >= 0")
     exponent = n * n - n
     t_max = max(t_list, default=0)
-    if len(t_list) == 1 or t_max == 0:
-        counts = {t: count_sl(EnumSpec(n=n, caps=(t,) * n)) if t else 0 for t in t_list}
-    else:
-        spec = EnumSpec(n=n, caps=(t_max,) * n)
-        _check_budget(spec)
-        if n == 2:  # exact[k] = 32 phi(k), sieved prime by prime, less 12 at k = 1
-            exact = list(range(0, 32 * t_max + 1, 32))
-            for p in small_primes(t_max + 1):
-                exact[p::p] = [v - v // p for v in exact[p::p]]
-            exact[1] -= 12
-        else:
-            exact = [0] * (t_max + 1)
-            for weight, rows, head, sol in _walk(spec, weighted=True):
-                top = max(map(abs, chain(head, *rows)), default=0)
-                for pair in _pairs(sol):
-                    exact[max(top, *map(abs, pair))] += weight
+    several = len(t_list) > 1 and t_max > 0
+    if several:
+        _check_budget(EnumSpec(n=n, caps=(t_max,) * n))
+    if several and n == 2:  # exact[k] = 32 phi(k), less 12 at k = 1
+        exact = list(range(0, 32 * t_max + 1, 32))
+        for p in small_primes(t_max + 1):
+            exact[p::p] = [v - v // p for v in exact[p::p]]
+        exact[1] -= 12
         counts = list(accumulate(exact))
+    else:
+        counts = {t: count_sl(EnumSpec(n=n, caps=(t,) * n)) if t else 0 for t in set(t_list)}
     return [(t, counts[t], counts[t] / t**exponent if t else None) for t in t_list]

@@ -2,6 +2,7 @@ import csv
 import errno
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -235,6 +236,14 @@ class TestSweeps:
         for row in rows:
             jsonschema.validate(row, SCHEMA)
 
+    def test_each_record_times_its_own_point(self, capsys, monkeypatch):
+        # a clock that advances 0.25 s per read: each point takes one step
+        ticks = itertools.count()
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(ticks) / 4)
+        code, out, _ = run(["sweep", "counts", "--n", "3", "--T", "3,1,3"], capsys)
+        assert code == 0
+        assert [r["wall_time_ms"] for r in records_from(out)] == [250, 250, 250]
+
     def test_roots_sweep(self, capsys):
         code, out, _ = run(["sweep", "roots", "--q", "2..20", "--n", "2", "--k", "2"], capsys)
         assert code == 0
@@ -448,21 +457,23 @@ class TestNoTracebackEscapes:
         assert "Traceback" not in proc.stderr
 
     def test_sigint_exits_130_with_one_line(self, tmp_path):
-        # the n = 3 points from T = 3 on take seconds each, so the sweep is
-        # still running when the signal arrives after the first record
+        # the n = 3 points at T = 8 and 9 take seconds each, so the sweep is
+        # still running when the signal arrives after the first record.
+        # Unbuffered pipes: readline then takes exactly one line, and any
+        # later record written before the signal is left for communicate.
         jsonl = tmp_path / "points.jsonl"
         argv = [*"sweep counts --n 3 --T 1..9 --jsonl".split(), str(jsonl)]
         proc = subprocess.Popen(
             [sys.executable, "-u", "-m", "sllift.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
+            bufsize=0,
             env=process_env(),
         )
         try:
-            first = proc.stdout.readline()
+            first = proc.stdout.readline().decode()
             proc.send_signal(signal.SIGINT)
-            rest, err = proc.communicate(timeout=60)
+            rest, err = (out.decode() for out in proc.communicate(timeout=60))
         finally:
             proc.kill()
             proc.wait()

@@ -319,7 +319,22 @@ class TestMinLiftNorm:
         assert seen == probes
 
 
+# N_3(T) for T = 0..6, cross-checked between the kernel walk and an
+# independent per-cofactor count
+N3 = [0, 3480, 67704, 640824, 2597208, 10426488, 23527320]
+
+
+def n2_reference(t):
+    """N_2(t) = 32 (phi(1) + ... + phi(t)) - 12, phi from factorize (t >= 1)."""
+    phi_sum = sum(math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(k)) for k in range(1, t + 1))
+    return 32 * phi_sum - 12
+
+
 class TestNormCountTable:
+    def test_n3_goldens(self):
+        assert [count_sl(EnumSpec(n=3, caps=(t,) * 3)) for t in (4, 5, 6)] == N3[4:]
+        assert [count for _, count, _ in norm_count_table(3, range(1, 7))] == N3[1:]
+
     def test_t_zero_and_one(self):
         table = norm_count_table(2, [0, 1])
         assert table[0] == (0, 0, None)
@@ -468,9 +483,11 @@ class TestKernelProperties:
     @example((2, [400, 0, 7, 7, 1]))
     @example((3, [3, 0, 1, 3, 2]))
     def test_table_matches_count_sl_per_threshold(self, n_ts):
-        # unsorted, repeated and zero thresholds, each row one count_sl
+        # unsorted, repeated and zero thresholds; the reference is the
+        # totient sum at n = 2 and the pinned N_3 at n = 3
         n, ts = n_ts
-        counts = [count_sl(EnumSpec(n=n, caps=(t,) * n)) if t else 0 for t in ts]
+        counts = [(n2_reference(t) if n == 2 else N3[t]) if t else 0 for t in ts]
+        assert [count_sl(EnumSpec(n=n, caps=(t,) * n)) if t else 0 for t in ts] == counts
         expected = [(t, c, c / t ** (n * n - n) if t else None) for t, c in zip(ts, counts)]
         assert norm_count_table(n, ts) == expected
 
@@ -485,7 +502,7 @@ class TestKernelProperties:
 def reference_walk(spec, weighted=False):
     """The walk with one maximal_minors call per (first, middle rows)
     combination, as it was before the cofactor map: the differential
-    reference for oracle._walk."""
+    reference for the kernel's walk and its counts."""
 
     def cofactors(rows):
         if len(rows) == 1:
@@ -516,13 +533,20 @@ def reference_walk(spec, weighted=False):
                     yield weight, rows, head, solution
 
 
-def kernel_answers(spec):
-    return count_sl(spec), list(iter_sl(spec)), exists_sl(spec)
+def reference_count(spec):
+    """count_sl as the sum of weight * solutions over the per-row walk."""
+    return sum(w * oracle._size(sol) for w, _, _, sol in reference_walk(spec, spec.q == 0))
 
 
-def seeded_n3_specs():
-    """n = 3 specs, uniform and skewed caps, without and with a congruence
-    (q = 2..7, targets from fixed seeds)."""
+def reference_matrices(spec):
+    """iter_sl's list from the per-row walk."""
+    return [rows + (head + pair,) for _, rows, head, sol in reference_walk(spec) for pair in oracle._pairs(sol)]
+
+
+def seeded_specs():
+    """n = 3 specs, uniform and skewed caps, and n = 4 specs at caps 1; each
+    without and with a congruence (q = 2..7 at n = 3, q = 2 and 3 at n = 4,
+    targets from fixed seeds)."""
     caps_list = [(1, 1, 1), (2, 2, 2), (1, 2, 3), (3, 1, 2), (2, 3, 1), (1, 1, 4)]
     specs = [EnumSpec(n=3, caps=caps) for caps in caps_list]
     rng = random.Random(15)
@@ -530,6 +554,16 @@ def seeded_n3_specs():
         for caps in rng.sample(caps_list, 3):
             x = random_sl_matrix(3, q, rng.randrange(2**30))
             specs.append(EnumSpec(n=3, caps=caps, q=q, x=x.rows))
+    for caps in [(2, 2, 1), (1, 1, 3)]:  # the last row's cap below and above the others
+        specs.append(EnumSpec(n=3, caps=caps))
+        for q in (2, 5):
+            x = random_sl_matrix(3, q, rng.randrange(2**30))
+            specs.append(EnumSpec(n=3, caps=caps, q=q, x=x.rows))
+    specs.append(EnumSpec(n=4, caps=(1,) * 4))
+    for q in (2, 3):
+        for _ in range(2):
+            x = random_sl_matrix(4, q, rng.randrange(2**30))
+            specs.append(EnumSpec(n=4, caps=(1,) * 4, q=q, x=x.rows))
     return specs
 
 
@@ -555,6 +589,32 @@ def prefix_and_row(draw):
     return tuple(prefix), r
 
 
+WALK_SPECS = [
+    EnumSpec(n=3, caps=(2, 2, 2)),
+    EnumSpec(n=3, caps=(1, 3, 2), q=3, x=((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    EnumSpec(n=4, caps=(1,) * 4, q=2, x=odd_row_target(4)),
+    # rows 3 and 4 odd mod 2, so four heads share each c
+    EnumSpec(n=4, caps=(1,) * 4, q=2, x=((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1), (1, 1, 0, 1))),
+    EnumSpec(n=5, caps=(1,) * 5, q=2, x=odd_row_target(5)),
+]
+
+
+def walk_runs(spec):
+    """(call, whether it walks orbit representatives) for each public walk."""
+    return [(count_sl, spec.q == 0), (lambda s: list(iter_sl(s)), False), (exists_sl, False)]
+
+
+def walked_prefixes(spec, weighted):
+    """Number of prefixes (first n - 2 rows) a walk visits."""
+    n, lads = spec.n, oracle._ladders(spec)
+    if weighted:  # orbit representatives of the first row
+        firsts = itertools.combinations_with_replacement(range(spec.caps[0] + 1), n)
+    else:
+        firsts = itertools.product(*lads[0])
+    primitive = sum(1 for f in firsts if math.gcd(*f) == 1)
+    return primitive * math.prod(len(lad) for row in lads[1 : n - 2] for lad in row)
+
+
 class TestCofactorMap:
     @settings(max_examples=200, deadline=None)
     @given(prefix_and_row())
@@ -568,46 +628,61 @@ class TestCofactorMap:
             IntMatrix(prefix + (r,))
         )
 
-    @pytest.mark.parametrize("spec", seeded_n3_specs(), ids=repr)
-    def test_walk_matches_per_row_reference(self, spec, monkeypatch):
-        answers = kernel_answers(spec)
-        monkeypatch.setattr(oracle, "_walk", reference_walk)
-        assert kernel_answers(spec) == answers
+    @pytest.mark.parametrize("spec", seeded_specs(), ids=repr)
+    def test_count_matches_per_row_reference(self, spec):
+        assert count_sl(spec) == reference_count(spec)
 
-    def test_n3_table_matches_per_row_reference(self, monkeypatch):
-        table = norm_count_table(3, [1, 2, 3])
-        monkeypatch.setattr(oracle, "_walk", reference_walk)
-        assert norm_count_table(3, [1, 2, 3]) == table
-        assert [count for _, count, _ in table] == [3480, 67704, 640824]
+    # every seeded spec but n = 4 at q = 0, whose 5170368 matrices make a slow list
+    @pytest.mark.parametrize("spec", [s for s in seeded_specs() if s.n == 3 or s.q], ids=repr)
+    def test_walk_matches_per_row_reference(self, spec):
+        matrices = reference_matrices(spec)
+        assert list(iter_sl(spec)) == matrices
+        assert exists_sl(spec) == bool(matrices)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            EnumSpec(n=3, caps=(2, 2, 2)),
-            EnumSpec(n=3, caps=(1, 3, 2), q=3, x=((1, 0, 0), (0, 1, 0), (0, 0, 1))),
-            EnumSpec(n=4, caps=(1,) * 4, q=2, x=odd_row_target(4)),
-            EnumSpec(n=5, caps=(1,) * 5, q=2, x=odd_row_target(5)),
-        ],
-        ids=repr,
-    )
+    def test_n3_table_matches_per_row_reference(self):
+        counts = [reference_count(EnumSpec(n=3, caps=(t,) * 3)) for t in (1, 2, 3)]
+        assert counts == N3[1:4]
+        assert [count for _, count, _ in norm_count_table(3, [1, 2, 3])] == counts
+
+    def test_one_hyperplane_count_per_key(self, monkeypatch):
+        # at q = 0 the last row is solved once per head for each distinct
+        # sorted |c|, not for every (first row, row 2) pair
+        spec = EnumSpec(n=3, caps=(2, 2, 2))
+        firsts = itertools.combinations_with_replacement(range(3), 3)
+        box = list(itertools.product(range(-2, 3), repeat=3))
+        keys = {
+            tuple(sorted(map(abs, maximal_minors(IntMatrix((f, r))))))
+            for f in firsts
+            if math.gcd(*f) == 1
+            for r in box
+        }
+        calls = []
+        real = oracle._solve2
+        monkeypatch.setattr(oracle, "_solve2", lambda *a: calls.append(a) or real(*a))
+        assert count_sl(spec) == N3[2]
+        assert len(calls) <= len(keys) * 5 <= 225
+
+    @pytest.mark.parametrize("spec", WALK_SPECS, ids=repr)
     def test_at_most_n_minors_per_prefix(self, spec, monkeypatch):
         calls = []
         real = oracle.intmat.maximal_minors
         monkeypatch.setattr(oracle.intmat, "maximal_minors", lambda b: calls.append(b) or real(b))
         n, lads = spec.n, oracle._ladders(spec)
-
-        def walked_prefixes(weighted):
-            if weighted:  # orbit representatives of the first row
-                firsts = itertools.combinations_with_replacement(range(spec.caps[0] + 1), n)
-            else:
-                firsts = itertools.product(*lads[0])
-            primitive = sum(1 for f in firsts if math.gcd(*f) == 1)
-            return primitive * math.prod(len(lad) for row in lads[1 : n - 2] for lad in row)
-
-        runs = [(count_sl, spec.q == 0), (lambda s: list(iter_sl(s)), False), (exists_sl, False)]
-        for run, weighted in runs:
+        for run, weighted in walk_runs(spec):
             calls.clear()
             run(spec)
-            assert len(calls) <= n * walked_prefixes(weighted)
+            assert len(calls) <= n * walked_prefixes(spec, weighted)
         # one elimination per choice of row n - 1 would exceed the bound
         assert len(list(itertools.product(*lads[n - 2]))) > n
+
+    @pytest.mark.parametrize("spec", [s for s in WALK_SPECS if s.n <= 4], ids=repr)
+    def test_one_ext_gcd_per_cofactor_vector(self, spec, monkeypatch):
+        # the heads under one (prefix, row n - 1) share c, so one gcd
+        calls = []
+        real = oracle.ext_gcd
+        monkeypatch.setattr(oracle, "ext_gcd", lambda a, b: calls.append((a, b)) or real(a, b))
+        rows = math.prod(map(len, oracle._ladders(spec)[spec.n - 2]))
+        for run, weighted in walk_runs(spec):
+            calls.clear()
+            run(spec)
+            assert len(calls) <= walked_prefixes(spec, weighted) * rows
