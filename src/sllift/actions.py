@@ -3,7 +3,8 @@
 Points are primitive vectors mod q (affine) or their unit-scaling classes
 (projective); the distance between two points is the smallest max norm of an
 integer unimodular matrix carrying one to the other.  All scans walk the
-matrices shell by shell (exact max norm m = 1, 2, ...), so the first hit is
+matrices shell by shell (exact max norm m = 1, 2, ...), each shell built
+once per process by oracle.iter_shell in iter_sl order, so the first hit is
 the minimum, and classify each image by lookup: a distance tests membership
 in the target's unit orbit, a profile maps every vector to its point through
 one dict built per call.  Norms are stored exactly; logarithms are
@@ -26,7 +27,7 @@ from itertools import permutations, product
 from operator import mul
 
 from .errors import BudgetExceeded, InvalidInput
-from .oracle import EnumSpec, iter_sl
+from .oracle import iter_shell
 
 def units_mod(q: int) -> tuple[int, ...]:
     return tuple(u for u in range(q) if math.gcd(u, q) == 1)
@@ -89,9 +90,10 @@ class DistanceRecord:
 
 @cache
 def _shell(n: int, m: int) -> tuple:
-    """All SL_n(Z) matrices with max norm exactly m, in iter_sl order."""
-    spec = EnumSpec(n=n, caps=(m,) * n)
-    return tuple(g for g in iter_sl(spec) if any(m in r or -m in r for r in g))
+    """All SL_n(Z) matrices with max norm exactly m, in iter_sl order.
+
+    Kept per process: every scan walks the shells from m = 1 again."""
+    return tuple(iter_shell(n, m))
 
 
 def _apply(gamma, coords, q):

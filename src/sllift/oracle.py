@@ -34,6 +34,11 @@ ladders with <v, c> = 1, memoised within the call.  At q = 0 the last
 row's box is invariant under signed permutations of its entries, so H is
 keyed by sorted |c|.  norm_count_table at n >= 3 is one such count per
 threshold.  The walk stays the reference the tests compare counts against.
+
+A norm shell (max norm exactly m, q = 0) is the cap-m walk cut down per
+fixed part: one with an entry +-m keeps every solved pair, any other keeps
+only the pairs with u or v = +-m, found by a divisibility check on each
+side of the square (iter_shell).
 """
 
 from __future__ import annotations
@@ -213,14 +218,15 @@ def _orbit_size(row) -> int:
     return size
 
 
-def _first_rows(spec: EnumSpec, lads, weighted: bool = False) -> list:
+def _first_rows(spec: EnumSpec, lads, weighted: bool = False):
     """(weight, row) for every primitive first row, in lexicographic order
     with weight 1, unless weighted (q = 0 only): then over orbit
-    representatives, weighted by orbit size."""
+    representatives, weighted by orbit size.  A generator, so a walk that
+    stops at its first hit builds no more rows than it reads."""
     if weighted:
         firsts = combinations_with_replacement(range(spec.caps[0] + 1), spec.n)
-        return [(_orbit_size(f), f) for f in firsts if math.gcd(*f) == 1]
-    return [(1, f) for f in product(*lads[0]) if math.gcd(*f) == 1]
+        return ((_orbit_size(f), f) for f in firsts if math.gcd(*f) == 1)
+    return ((1, f) for f in product(*lads[0]) if math.gcd(*f) == 1)
 
 
 def _cofactors(spec: EnumSpec, lads, weighted: bool = False):
@@ -274,6 +280,50 @@ def _walk(spec: EnumSpec):
             yield rows, head, solution
 
 
+def _line(b: int, r: int, m: int):
+    """The v in [-m, m] with b * v = r, ascending."""
+    if b == 0:
+        return range(-m, m + 1) if r == 0 else ()
+    v, rem = divmod(r, b)
+    return (v,) if not rem and -m <= v <= m else ()
+
+
+def _rim(a: int, b: int, r: int, m: int) -> list:
+    """Pairs (u, v) in [-m, m]^2 with a*u + b*v = r and |u| = m or |v| = m,
+    ascending: one divisibility check per side of the square, unless a
+    coefficient vanishes and the side is all solutions or none."""
+    pairs = [(s, v) for s in (-m, m) for v in _line(b, r - a * s, m)]
+    pairs += [(u, s) for s in (-m, m) for u in _line(a, r - b * s, m) if -m < u < m]
+    return sorted(pairs)
+
+
+def _shell_walk(spec: EnumSpec):
+    """(rows, head, pairs) for every fixed part of _walk (q = 0, every cap m)
+    whose completions include one of max norm exactly m, in _walk's order,
+    with pairs the ascending completions that reach norm m: all of them when
+    the fixed part has an entry +-m, else only those on the rim (_rim)."""
+    n, m, lads = spec.n, spec.caps[0], _ladders(spec)
+    lad1, lad2 = lads[-1][-2:]
+    heads = list(product(*lads[-1][:-2]))
+    if n == 2:
+        prefixes = (((r,), (-r[1], r[0])) for _, r in _first_rows(spec, lads))
+    else:
+        prefixes = ((rows, c) for _, rows, c in _cofactors(spec, lads))
+    for rows, c in prefixes:
+        a, b = c[-2], c[-1]
+        face = any(m in row or -m in row for row in rows)
+        gcd = ext_gcd(a, b) if face else None
+        for head in heads:
+            r = 1 - sum(map(mul, head, c))
+            if face or m in head or -m in head:
+                solution = _solve2(a, b, r, lad1, lad2, gcd)
+                pairs = _pairs(solution) if solution else ()
+            else:
+                pairs = _rim(a, b, r, m)
+            if pairs:
+                yield rows, head, pairs
+
+
 def _mobius(limit: int) -> list[int]:
     """mu(k) for 0 <= k <= limit (mu(0) unused), sieved prime by prime."""
     mu = [1] * (limit + 1)
@@ -324,6 +374,20 @@ def iter_sl(spec: EnumSpec):
         for rows, head, sol in _walk(spec)
         for pair in _pairs(sol)
     )
+
+
+def iter_shell(n: int, m: int):
+    """Every SL_n(Z) matrix of max norm exactly m, in iter_sl order.
+
+    The cap-m walk keeps only what reaches norm m (_shell_walk), so the
+    shell is exactly iter_sl at cap m less iter_sl at cap m - 1.  The budget
+    is checked eagerly on the cap-m box, as iter_sl checks it.
+    """
+    spec = EnumSpec(n=n, caps=(m,) * n)
+    _check_budget(spec)
+    if n == 1:
+        return iter([((1,),)] if m == 1 else [])
+    return (rows + (head + pair,) for rows, head, pairs in _shell_walk(spec) for pair in pairs)
 
 
 def exists_sl(spec: EnumSpec) -> bool:

@@ -1,3 +1,4 @@
+import heapq
 import math
 from functools import cache
 from itertools import permutations, product
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sllift import oracle
 from sllift.actions import (
     DistanceRecord,
     PointA,
@@ -96,6 +98,57 @@ SMALL_SPACES = [(2, q) for q in range(2, 7)] + [(2, 8), (2, 9), (3, 2), (3, 3)]
 # spaces whose signed-permutation orbits differ in size (q = 2 has -1 = 1);
 # at n = 2, q = 4 every orbit has 4 points
 UNEVEN_ORBIT_SPACES = [(2, 2), (2, 8), (2, 9), (3, 2), (3, 3)]
+
+
+class TestIterShell:
+    """oracle.iter_shell, which builds every shell the scans below walk."""
+
+    def test_n1_has_one_shell(self):
+        assert list(oracle.iter_shell(1, 1)) == naive_shell(1, 1) == [((1,),)]
+        for m in (2, 3, 4):
+            assert list(oracle.iter_shell(1, m)) == naive_shell(1, m) == []
+
+    @pytest.mark.parametrize(
+        "n,m", [(2, m) for m in range(1, 16)] + [(3, m) for m in (1, 2, 3)]
+    )
+    def test_matches_naive_shell(self, n, m):
+        assert list(oracle.iter_shell(n, m)) == naive_shell(n, m)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 10))
+    def test_shells_merge_to_iter_sl(self, t):
+        # each shell is in iter_sl order and the shells partition the box,
+        # so merging them gives iter_sl at cap t, matrix for matrix
+        shells = [oracle.iter_shell(2, m) for m in range(1, t + 1)]
+        assert list(heapq.merge(*shells)) == list(iter_sl(EnumSpec(n=2, caps=(t, t))))
+
+    @pytest.mark.parametrize("n,m", [(2, 5), (3, 2)])
+    def test_budget_raises_before_first_yield_as_iter_sl(self, monkeypatch, n, m):
+        spec = EnumSpec(n=n, caps=(m,) * n)
+        size = oracle.candidate_count(spec)
+        monkeypatch.setenv("SLLIFT_BUDGET", str(size - 1))
+        with pytest.raises(BudgetExceeded) as by_sl:
+            iter_sl(spec)
+        with pytest.raises(BudgetExceeded) as by_shell:
+            oracle.iter_shell(n, m)
+        assert str(by_shell.value) == str(by_sl.value)
+        monkeypatch.setenv("SLLIFT_BUDGET", str(size))
+        assert next(oracle.iter_shell(n, m))
+
+    def test_n2_solves_only_first_rows_on_the_face(self, monkeypatch):
+        # a first row below m leaves only the rim pairs, found without _solve2
+        calls = []
+        real = oracle._solve2
+        monkeypatch.setattr(oracle, "_solve2", lambda *a: calls.append(a[:2]) or real(*a))
+        for m in range(1, 9):
+            calls.clear()
+            list(oracle.iter_shell(2, m))
+            faces = [
+                r
+                for r in product(range(-m, m + 1), repeat=2)
+                if math.gcd(*r) == 1 and m in map(abs, r)
+            ]
+            assert calls == [(-r[1], r[0]) for r in faces]
 
 
 class TestPoints:

@@ -26,6 +26,7 @@ def test_boundaries_resolve(spans):
             assert callable(getattr(module, name, None)), f"sllift.{mod_name}.{name}"
 
 
-def test_shell_builds_route_through_actions_iter_sl():
-    # spans.install replaces actions.iter_sl to count shell builds
-    assert actions.iter_sl is oracle.iter_sl
+def test_shell_builds_route_through_actions_iter_shell():
+    # actions builds every shell through its own copy of iter_shell, the
+    # name a tracer replaces to count shell builds
+    assert actions.iter_shell is oracle.iter_shell
