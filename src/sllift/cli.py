@@ -205,7 +205,7 @@ def _cmd_hard(args) -> int:
     return code
 
 
-def _sweep_roots(args, point_seed):
+def _sweep_roots(args):
     if args.k < 1:
         raise _UsageError(f"--k needs K >= 1, got {args.k}")
     if args.budget < 1:
@@ -234,7 +234,7 @@ def _sweep_roots(args, point_seed):
         yield {"q": q, "n": args.n, "k": args.k, "budget": args.budget}, lambda q=q: point(q)
 
 
-def _sweep_counts(args, point_seed):
+def _sweep_counts(args):
     thresholds = parse_range(args.T)
 
     def point(t):
@@ -245,7 +245,7 @@ def _sweep_counts(args, point_seed):
         yield {"T": t, "n": args.n}, lambda t=t: point(t)
 
 
-def _sweep_skewed(args, point_seed):
+def _sweep_skewed(args):
     if args.n != 2:
         raise _UsageError("skewed sweep supports n=2")
 
@@ -259,7 +259,7 @@ def _sweep_skewed(args, point_seed):
         yield {"T": t, "n": 2}, lambda t=t: point(t)
 
 
-def _sweep_diameter(args, point_seed):
+def _sweep_diameter(args):
     for q in parse_range(args.q):
         t_max = args.t_max if args.t_max is not None else 8 * q
         yield (
@@ -268,7 +268,7 @@ def _sweep_diameter(args, point_seed):
         )
 
 
-def _sweep_lift_bounds(args, point_seed):
+def _sweep_lift_bounds(args):
     if args.samples < 1:
         raise _UsageError(f"--samples needs S >= 1, got {args.samples}")
 
@@ -279,8 +279,8 @@ def _sweep_lift_bounds(args, point_seed):
         worst_last = 0.0
         worst_trials = 0
         for s in range(args.samples):
-            x = lifting.random_sl_matrix(args.n, q, _mix(point_seed, q, s))
-            cert = lifting.lift(x, q, seed=_mix(point_seed, q, s, 1))
+            x = lifting.random_sl_matrix(args.n, q, _mix(args.seed, q, s))
+            cert = lifting.lift(x, q, seed=_mix(args.seed, q, s, 1))
             worst_first = max(worst_first, cert.first_rows_max / scale_first)
             worst_last = max(worst_last, cert.last_row_max / scale_last)
             worst_trials = max(worst_trials, cert.trials_used)
@@ -330,7 +330,7 @@ def _cmd_sweep(args) -> int:
                 raise _UsageError(f"cannot write --{flag} {path}: {exc.strerror or exc}") from None
 
     try:
-        for params, thunk in runner(args, args.seed):
+        for params, thunk in runner(args):
             points += 1
             start = time.monotonic()
             try:

@@ -1,10 +1,10 @@
 """Constructive lifting of SL_n(Z/qZ) elements to SL_n(Z).
 
-Pipeline: lift the first n-1 rows so they extend to an integer unimodular
-matrix (the first extendable candidate of one stream: the signed lift,
-random offsets, then a CRT-based fallback), complete with a short last row
-via extended gcd plus size reduction, then correct the last row modulo q
-using row-combination coefficients solved mod q.
+Pipeline: lift_rows lifts the first n-1 rows so they extend to SL_n(Z)
+(the first extendable candidate of one stream: the signed lift, random
+offsets, then a CRT-based fallback) and returns their maximal minors;
+complete_rows turns those into a short last row (extended gcd plus size
+reduction); lift corrects that row mod q by coefficients solved mod q.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ class LiftCertificate:
     seed: int
 
 
+# No caller in src; kept because perfbench/spans.py wraps it by name (BOUNDARIES).
 def is_extendable(b: IntMatrix) -> bool:
     """Whether b is the top of some SL_n(Z) matrix (gcd of maximal minors 1)."""
     return reduce(math.gcd, intmat.maximal_minors(b)) == 1
@@ -85,11 +86,13 @@ def _row_candidates(base: list[list[int]], q: int, seed: int):
         yield from draws(shifted, q * math.prod(primes), bound, _FALLBACK_TRIES)
 
 
-def _lift_rows_searched(a: IntMatrix, q: int, seed: int) -> tuple[IntMatrix, tuple[int, ...], int]:
-    """Row lift returning (B, maximal_minors(B), trials_used).
+def lift_rows(a: IntMatrix, q: int, seed: int) -> tuple[IntMatrix, tuple[int, ...], int]:
+    """Lift (n-1) x n rows mod q to integer rows extending to SL_n(Z).
 
-    Every candidate is congruent to the signed lift mod q, so its minors
-    share a factor with q exactly when the first candidate's do.
+    Returns (B, maximal_minors(B), trials_used), B = A0 + qX the first
+    candidate of _row_candidates (A0 the entrywise signed lift) whose minors
+    have gcd 1.  All candidates agree mod q, so their minors share a factor
+    with q exactly when the first candidate's do.
     """
     if q < 1:
         raise InvalidInput(f"need q >= 1, got {q}")
@@ -105,28 +108,13 @@ def _lift_rows_searched(a: IntMatrix, q: int, seed: int) -> tuple[IntMatrix, tup
     raise SearchExhausted(f"no extendable row lift found for q={q} (trials={trials})")
 
 
-def lift_rows(a: IntMatrix, q: int, seed: int = 0) -> IntMatrix:
-    """Lift (n-1) x n rows mod q to integer rows extending to SL_n(Z).
+def complete_rows(b: IntMatrix, c: tuple[int, ...]) -> tuple[int, ...]:
+    """Last row v with det(stack(B, v)) = 1 and max|v| <= (n/2) max|B| + 1,
+    given c = maximal_minors(B) (lift_rows returns them).
 
-    Returns B = A0 + qX with A0 the entrywise signed lift: the first
-    candidate of _row_candidates whose maximal minors have gcd 1 (X = 0,
-    then random X at doubling entry bounds, then the CRT fallback).
+    Solves <v0, c> = 1 by iterated extended gcd, then size-reduces v0
+    against the rows of B.
     """
-    b, _, _ = _lift_rows_searched(a, q, seed)
-    return b
-
-
-def complete_rows(b: IntMatrix) -> tuple[int, ...]:
-    """Last row v with det(stack(B, v)) = 1 and max|v| <= (n/2) max|B| + 1.
-
-    Solves <v0, minors(B)> = 1 by iterated extended gcd, then size-reduces
-    v0 against the rows of B.
-    """
-    return _complete(b, intmat.maximal_minors(b))
-
-
-def _complete(b: IntMatrix, c: tuple[int, ...]) -> tuple[int, ...]:
-    """complete_rows(b) given c = maximal_minors(b)."""
     g, coeffs = c[0], [1]
     for ci in c[1:]:
         g, s, t = ext_gcd(g, ci)
@@ -143,10 +131,10 @@ def _complete(b: IntMatrix, c: tuple[int, ...]) -> tuple[int, ...]:
 def lift(x: IntMatrix, q: int, seed: int = 0) -> LiftCertificate:
     """Lift x in SL_n(Z/qZ) to a certified gamma in SL_n(Z).
 
-    First n-1 rows come from lift_rows, the completion from complete_rows,
-    and the last row is corrected modulo q by adding signed multiples of the
-    lifted rows; the row-combination coefficients are solved mod q and their
-    last coordinate always vanishes for valid inputs.
+    First n-1 rows and their minors come from lift_rows, the last row from
+    complete_rows on those minors, corrected modulo q by signed multiples of
+    the lifted rows; the row-combination coefficients are solved mod q and
+    their last coordinate always vanishes for valid inputs.
     """
     n = x.nrows
     if n < 2 or x.ncols != n:
@@ -160,8 +148,8 @@ def lift(x: IntMatrix, q: int, seed: int = 0) -> LiftCertificate:
         raise InvalidInput(f"det is {intmat.det(x) % q} mod {q}, need 1")
 
     top = IntMatrix(x.rows[: n - 1])
-    b, minors, trials = _lift_rows_searched(top, q, seed)
-    v = _complete(b, minors)
+    b, minors, trials = lift_rows(top, q, seed)
+    v = complete_rows(b, minors)
 
     w = tuple((x.rows[n - 1][j] - v[j]) % q for j in range(n))
     xq = x.reduce_mod(q)

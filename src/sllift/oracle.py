@@ -23,10 +23,10 @@ Without a congruence (q = 0), counts use the symmetry gamma -> D gamma P,
 where P is a signed column permutation and D negates the last row when
 det P = -1.  It keeps det 1 and every row's cap, so only primitive, sorted,
 non-negative first rows are enumerated, each weighted by its orbit size.
-At n = 2 that reduction leaves a closed form, which count_sl and
-norm_count_table use instead of the walk: 4 + 16 times the number of
-coprime pairs in [1, t1] x [1, t2], summed by Moebius inversion, and at
-t1 = t2 = T read off one totient prefix (docs/decisions.md).
+At n = 2 that reduction leaves closed forms, used instead of the walk:
+count_sl takes 4 + 16 times the coprime pairs in [1, t1] x [1, t2], summed
+by Moebius inversion; norm_count_table (t1 = t2) reads every threshold off
+one totient prefix (docs/decisions.md).
 
 At n >= 3 a count needs only how many last rows complete each c, so
 count_sl sums weight * H(c), with H(c) the number of last rows v in the
@@ -438,8 +438,8 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
 def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     """Rows (T, exact count within norm T, count / T^(n^2 - n)).
 
-    Several thresholds are budgeted once, at the largest, before any count.
-    At n = 2 they are then read off one totient prefix,
+    The thresholds are budgeted once, at the largest (if > 0), before any
+    count.  At n = 2, one or many, they are then read off one totient prefix,
     N_2(T) = 32 (phi(1) + ... + phi(T)) - 12; otherwise each distinct
     threshold is one count_sl.
     """
@@ -448,10 +448,9 @@ def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
         raise InvalidInput("thresholds must be >= 0")
     exponent = n * n - n
     t_max = max(t_list, default=0)
-    several = len(t_list) > 1 and t_max > 0
-    if several:
+    if t_max > 0:
         _check_budget(EnumSpec(n=n, caps=(t_max,) * n))
-    if several and n == 2:  # exact[k] = 32 phi(k), less 12 at k = 1
+    if n == 2 and t_max > 0:  # exact[k] = 32 phi(k), less 12 at k = 1
         exact = list(range(0, 32 * t_max + 1, 32))
         for p in small_primes(t_max + 1):
             exact[p::p] = [v - v // p for v in exact[p::p]]

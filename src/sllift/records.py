@@ -70,6 +70,9 @@ def write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)  # read by setting it, then restored
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # as open() would create it, not mkstemp's 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

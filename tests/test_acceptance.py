@@ -14,7 +14,7 @@ import json
 import math
 
 from sllift.hardness import find_large_root, hard_instance, small_p_factor_root, trace_family_instance
-from sllift.intmat import IntMatrix, det
+from sllift.intmat import IntMatrix, det, maximal_minors
 from sllift.lifting import complete_rows, is_extendable, lift, random_sl_matrix
 from sllift.oracle import EnumSpec, count_sl, iter_sl, min_lift_norm, norm_count_table
 from sllift.actions import diameter_profile, projective_bad_pair
@@ -206,7 +206,7 @@ def build_7():
         b = IntMatrix([entries[i * n : (i + 1) * n] for i in range(n - 1)])
         if not is_extendable(b):
             continue
-        v = complete_rows(b)
+        v = complete_rows(b, maximal_minors(b))
         if det(b.with_row(v)) != 1:
             violations += 1
         if 2 * max(abs(e) for e in v) > n * b.max_norm() + 2:

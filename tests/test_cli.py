@@ -328,6 +328,17 @@ class TestSweeps:
             lines = [json.loads(line) for line in fh]
         assert [strip_time(r) for r in lines] == [strip_time(r) for r in records_from(out)]
 
+    def test_outputs_take_the_umask_mode(self, tmp_path, capsys):
+        # as a plain open() would create them, not mkstemp's private 0600
+        jsonl_path = tmp_path / "out.jsonl"
+        saved = os.umask(0o022)
+        try:
+            code, _, _ = run(["sweep", "counts", "--n", "2", "--T", "1..2", "--jsonl", str(jsonl_path)], capsys)
+        finally:
+            os.umask(saved)
+        assert code == 0
+        assert jsonl_path.stat().st_mode & 0o777 == 0o644
+
     def test_diameter_sweep(self, capsys):
         code, out, _ = run(["sweep", "diameter", "--space", "P", "--n", "2", "--q", "2..4"], capsys)
         assert code == 0

@@ -35,10 +35,11 @@ class TestLiftRows:
     def test_identity_needs_no_offset(self):
         for q in (5, 16, 101):
             top = IntMatrix([[1, 0, 0], [0, 1, 0]])
-            assert lift_rows(top, q, seed=1) == top
+            b, _, _ = lift_rows(top, q, seed=1)
+            assert b == top
 
     def test_congruence_and_coprimality_n2(self):
-        b = lift_rows(IntMatrix([[2, 4]]), 5, seed=3)
+        b, _, _ = lift_rows(IntMatrix([[2, 4]]), 5, seed=3)
         assert all((x - y) % 5 == 0 for x, y in zip(b.rows[0], (2, 4)))
         assert math.gcd(*b.rows[0]) == 1
 
@@ -53,7 +54,7 @@ class TestLiftRows:
             q = rng.choice([7, 12, 101, 360])
             x = random_sl_matrix(n, q, rng.randrange(2**30))
             top = IntMatrix(x.rows[: n - 1])
-            b = lift_rows(top, q, seed=rng.randrange(2**30))
+            b, _, _ = lift_rows(top, q, seed=rng.randrange(2**30))
             assert is_extendable(b)
             bound = max(2, math.ceil(lifting.DEFAULT_GROWTH_C * math.log2(q + 2)))
             for i in range(n - 1):
@@ -66,16 +67,16 @@ class TestLiftRows:
         # skip the random phase entirely; the CRT construction must cope alone
         monkeypatch.setattr(lifting, "_TRIES_PER_LEVEL", 0)
         a = IntMatrix([[3, 3]])  # signed lifts share the factor 3, coprime to 7
-        b = lift_rows(a, 7, seed=0)
+        b, _, _ = lift_rows(a, 7, seed=0)
         assert is_extendable(b)
         assert all((x - y) % 7 == 0 for x, y in zip(b.rows[0], (3, 3)))
 
         x = random_sl_matrix(3, 12, 5)
-        b = lift_rows(IntMatrix(x.rows[:2]), 12, seed=0)
+        b, _, _ = lift_rows(IntMatrix(x.rows[:2]), 12, seed=0)
         assert is_extendable(b)
 
 
-def reference_lift_rows_searched(a, q, seed):
+def reference_lift_rows(a, q, seed):
     """The row search as three hand-written stages (zero offset, doubling
     random levels, CRT fallback), kept to check the one-stream search."""
     base = [[signed(x, q) for x in row] for row in a.rows]
@@ -172,8 +173,8 @@ class TestRowSearchDifferential:
                 tops.append(IntMatrix(entries))
             for top in tops:
                 seed = rng.randrange(2**30)
-                want = _search_outcome(reference_lift_rows_searched, top, q, seed)
-                got = _search_outcome(lifting._lift_rows_searched, top, q, seed)
+                want = _search_outcome(reference_lift_rows, top, q, seed)
+                got = _search_outcome(lift_rows, top, q, seed)
                 assert got == want, (n, q, top.rows, seed)
                 if want[0] is NotExtendableModQ:
                     kinds["mod_q"] += 1
@@ -193,15 +194,15 @@ class TestCompleteRows:
     def test_identity_top(self):
         for n in (2, 3, 5):
             top = IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n - 1)])
-            v = complete_rows(top)
+            v = complete_rows(top, intmat.maximal_minors(top))
             assert v == tuple(1 if j == n - 1 else 0 for j in range(n))
 
     def test_small_example(self):
-        assert complete_rows(IntMatrix([[3, 5]])) == (1, 2)
+        assert complete_rows(IntMatrix([[3, 5]]), (-5, 3)) == (1, 2)
 
     def test_not_extendable(self):
         with pytest.raises(NotExtendable):
-            complete_rows(IntMatrix([[2, 4]]))
+            complete_rows(IntMatrix([[2, 4]]), (-4, 2))
 
     def test_random_bound_holds_exactly(self):
         rng = random.Random(29)
@@ -213,7 +214,7 @@ class TestCompleteRows:
             )
             if not is_extendable(b):
                 continue
-            v = complete_rows(b)
+            v = complete_rows(b, intmat.maximal_minors(b))
             assert det(b.with_row(v)) == 1
             # exact integer form of max|v| <= (n/2) max|B| + 1
             assert 2 * max(abs(x) for x in v) <= n * b.max_norm() + 2
@@ -265,25 +266,41 @@ class TestLift:
         assert a.gamma == b.gamma and a.trials_used == b.trials_used
 
     def test_minors_once_per_trial(self, monkeypatch):
-        # the accepted candidate's minors feed the completion; only a
-        # rejected candidate costs a further maximal_minors call
-        calls = []
+        # lift runs each public stage once, and the accepted candidate's
+        # minors feed the completion: only a rejected candidate costs a
+        # further maximal_minors call, and every call is a search trial
+        events, open_stages = [], []
+
+        def staged(name, stage):
+            def run(*args):
+                events.append(name)
+                open_stages.append(name)
+                try:
+                    return stage(*args)
+                finally:
+                    open_stages.pop()
+
+            return run
+
         original = lifting.intmat.maximal_minors
 
         def counted(b):
-            calls.append(b)
+            events.append(("minors", tuple(open_stages)))
             return original(b)
 
         monkeypatch.setattr(lifting.intmat, "maximal_minors", counted)
+        for name in ("lift_rows", "complete_rows"):
+            monkeypatch.setattr(lifting, name, staged(name, getattr(lifting, name)))
         rng = random.Random(53)
         retried = 0
         for _ in range(60):
             n = rng.randrange(2, 6)
             q = rng.choice([2, 12, 101, 360, 10**9 + 7])
             x = random_sl_matrix(n, q, rng.randrange(2**30))
-            calls.clear()
+            events.clear()
             cert = lift(x, q, seed=rng.randrange(2**30))
-            assert len(calls) == cert.trials_used
+            trials = [("minors", ("lift_rows",))] * cert.trials_used
+            assert events == ["lift_rows", *trials, "complete_rows"]
             retried += cert.trials_used > 1
         assert retried > 0
 

@@ -389,6 +389,30 @@ class TestClosedFormN2:
         monkeypatch.setenv("SLLIFT_BUDGET", str(size))
         assert norm_count_table(2, [1, 40, 2])[1][1] == count_sl(EnumSpec(n=2, caps=(40, 40)))
 
+    def test_every_table_reads_the_totient_prefix(self, monkeypatch):
+        # one threshold or many: the Moebius sum of count_sl never runs
+        monkeypatch.setattr(oracle, "_count_sl2", _not_on_the_table_path)
+        for t in (1, 2, 57, 400):
+            assert norm_count_table(2, [t]) == [(t, n2_reference(t), n2_reference(t) / t**2)]
+        assert norm_count_table(2, []) == []
+        assert norm_count_table(2, [0]) == [(0, 0, None)]
+        five = n2_reference(5)
+        assert norm_count_table(2, [0, 5, 0]) == [(0, 0, None), (5, five, five / 25), (0, 0, None)]
+
+    def test_single_threshold_budget_is_count_sl_message(self, monkeypatch):
+        monkeypatch.delenv("SLLIFT_BUDGET", raising=False)
+        size = (2 * 15811 + 1) ** 2
+        with pytest.raises(BudgetExceeded) as direct:
+            count_sl(EnumSpec(n=2, caps=(15811, 15811)))
+        monkeypatch.setattr(oracle, "count_sl", _not_on_the_table_path)
+        with pytest.raises(BudgetExceeded) as table:
+            norm_count_table(2, [15811])
+        assert str(table.value) == str(direct.value) == f"candidate space {size} exceeds budget {10**9}"
+
+
+def _not_on_the_table_path(*args):
+    raise AssertionError("an n = 2 table reads the totient prefix")
+
 
 class TestSkewedCounts:
     def test_growth_band(self):
