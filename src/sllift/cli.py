@@ -1,9 +1,12 @@
 """Command-line surface: lift, hard, and sweep subcommands.
 
+Each sweep kind is one row of _SWEEPS, run by the one loop in _cmd_sweep;
+bounded integer flags are checked once, at parse time.
+
 Exit codes: 0 success, 1 usage or parse error (or an unwritable output path,
 or stdout closed by its reader), 2 verified-infeasible input, 3 search or
 enumeration budget exhausted, 130 interrupted (SIGINT; "interrupted" on stderr,
-no traceback; a sweep still writes --csv and --jsonl with the points it completed).
+no traceback; a sweep's --csv and --jsonl hold exactly the records it printed).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
 import time
 
@@ -32,6 +36,21 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _bounded(flag: str, symbol: str, low: int, high: int | None = None):
+    """argparse type= for an integer flag that must lie in [low, high]."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise _UsageError(f"{flag} needs {symbol} >= {low}, got {value}")
+        if high is not None and value > high:
+            raise _UsageError(f"{flag} needs {symbol} <= {high}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # so a ValueError above reads "invalid int value", as with type=int
+    return parse
 
 
 def _mix(*parts: int) -> int:
@@ -94,10 +113,6 @@ def _certificate_results(cert: lifting.LiftCertificate) -> dict:
 
 
 def _cmd_lift(args) -> int:
-    if args.n < 2:
-        raise _UsageError(f"--n needs n >= 2, got {args.n}")
-    if args.q < 1:
-        raise _UsageError(f"--q needs q >= 1, got {args.q}")
     start = time.monotonic()
     try:
         if args.matrix == "random":
@@ -151,10 +166,6 @@ def _hard_results(instance: hardness.HardInstance) -> dict:
 
 def _cmd_hard(args) -> int:
     start = time.monotonic()
-    if args.budget < 1:
-        raise _UsageError(f"--budget needs B >= 1, got {args.budget}")
-    if args.verify_oracle is not None and args.verify_oracle < 1:
-        raise _UsageError(f"--verify-oracle needs T_MAX >= 1, got {args.verify_oracle}")
     if args.trace_family_m is not None:
         instance = hardness.trace_family_instance(args.trace_family_m)
     else:
@@ -188,7 +199,7 @@ def _cmd_hard(args) -> int:
             "trace_family_m": args.trace_family_m,
             "verify_oracle": args.verify_oracle,
         },
-        args.seed,
+        0,  # hard has no randomness; the schema still wants a seed
         results,
         wall,
     )
@@ -205,115 +216,84 @@ def _cmd_hard(args) -> int:
     return code
 
 
-def _sweep_roots(args):
-    if args.k < 1:
-        raise _UsageError(f"--k needs K >= 1, got {args.k}")
-    if args.budget < 1:
-        raise _UsageError(f"--budget needs B >= 1, got {args.budget}")
-
-    def point(q):
-        # exact ceil(q^((k-1)/k)): the least t with t^k >= q^(k-1)
-        target = residue.int_nth_root(q ** (args.k - 1) - 1, args.k) + 1
-        witness = hardness.find_large_root(q, args.n, args.budget, target=target)
-        other = hardness.small_p_factor_root(q, args.n, args.k)
-        if other is not None and other.abs_n_beta > witness.abs_n_beta:
-            witness = other
-        return {
-            "q": q,
-            "method": witness.method,
-            "alpha": witness.alpha.value,
-            "beta": witness.beta.value,
-            "abs_alpha": witness.abs_alpha,
-            "abs_n_beta": witness.abs_n_beta,
-            "target": target,
-            "ratio_to_target": witness.abs_n_beta / target if target else None,
-            "flagged": witness.flagged,
-        }
-
-    for q in parse_range(args.q):
-        yield {"q": q, "n": args.n, "k": args.k, "budget": args.budget}, lambda q=q: point(q)
+def _roots_point(args, params: dict) -> dict:
+    q, k = params["q"], args.k
+    # exact ceil(q^((k-1)/k)): the least t with t^k >= q^(k-1)
+    target = residue.int_nth_root(q ** (k - 1) - 1, k) + 1
+    witness = hardness.find_large_root(q, args.n, args.budget, target=target)
+    other = hardness.small_p_factor_root(q, args.n, k)
+    if other is not None and other.abs_n_beta > witness.abs_n_beta:
+        witness = other
+    return {
+        "q": q,
+        "method": witness.method,
+        "alpha": witness.alpha.value,
+        "beta": witness.beta.value,
+        "abs_alpha": witness.abs_alpha,
+        "abs_n_beta": witness.abs_n_beta,
+        "target": target,
+        "ratio_to_target": witness.abs_n_beta / target if target else None,
+        "flagged": witness.flagged,
+    }
 
 
-def _sweep_counts(args):
-    thresholds = parse_range(args.T)
-
-    def point(t):
-        (row,) = oracle.norm_count_table(args.n, [t])
-        return {"T": row[0], "count": row[1], "ratio": row[2]}
-
-    for t in thresholds:
-        yield {"T": t, "n": args.n}, lambda t=t: point(t)
+def _counts_point(args, params: dict) -> dict:
+    ((t, count, ratio),) = oracle.norm_count_table(args.n, [params["T"]])
+    return {"T": t, "count": count, "ratio": ratio}
 
 
-def _sweep_skewed(args):
-    if args.n != 2:
-        raise _UsageError("skewed sweep supports n=2")
-
-    def point(t):
-        spec = oracle.EnumSpec(n=2, caps=(t, t * t))
-        count = oracle.count_sl(spec)
-        norm = count / (t**3 * math.log2(t + 1)) if t >= 1 else None
-        return {"T": t, "count": count, "normalized": norm}
-
-    for t in parse_range(args.T):
-        yield {"T": t, "n": 2}, lambda t=t: point(t)
+def _skewed_point(args, params: dict) -> dict:
+    t = params["T"]
+    count = oracle.count_sl(oracle.EnumSpec(n=2, caps=(t, t * t)))
+    norm = count / (t**3 * math.log2(t + 1)) if t >= 1 else None
+    return {"T": t, "count": count, "normalized": norm}
 
 
-def _sweep_diameter(args):
-    for q in parse_range(args.q):
-        t_max = args.t_max if args.t_max is not None else 8 * q
-        yield (
-            {"q": q, "n": args.n, "space": args.space, "t_max": t_max},
-            lambda q=q, t=t_max: actions.diameter_profile(args.space, args.n, q, t),
-        )
+def _lift_bounds_point(args, params: dict) -> dict:
+    q = params["q"]
+    scale_first = q * math.log2(q + 2)
+    scale_last = q * q * math.log2(q + 2)
+    worst_first, worst_last, worst_trials = 0.0, 0.0, 0
+    for s in range(args.samples):
+        x = lifting.random_sl_matrix(args.n, q, _mix(args.seed, q, s))
+        cert = lifting.lift(x, q, seed=_mix(args.seed, q, s, 1))
+        worst_first = max(worst_first, cert.first_rows_max / scale_first)
+        worst_last = max(worst_last, cert.last_row_max / scale_last)
+        worst_trials = max(worst_trials, cert.trials_used)
+    return {
+        "q": q,
+        "n": args.n,
+        "samples": args.samples,
+        "max_first_ratio": worst_first,
+        "max_last_ratio": worst_last,
+        "max_trials": worst_trials,
+    }
 
 
-def _sweep_lift_bounds(args):
-    if args.samples < 1:
-        raise _UsageError(f"--samples needs S >= 1, got {args.samples}")
-
-    def point(q):
-        scale_first = q * math.log2(q + 2)
-        scale_last = q * q * math.log2(q + 2)
-        worst_first = 0.0
-        worst_last = 0.0
-        worst_trials = 0
-        for s in range(args.samples):
-            x = lifting.random_sl_matrix(args.n, q, _mix(args.seed, q, s))
-            cert = lifting.lift(x, q, seed=_mix(args.seed, q, s, 1))
-            worst_first = max(worst_first, cert.first_rows_max / scale_first)
-            worst_last = max(worst_last, cert.last_row_max / scale_last)
-            worst_trials = max(worst_trials, cert.trials_used)
-        return {
-            "q": q,
-            "n": args.n,
-            "samples": args.samples,
-            "max_first_ratio": worst_first,
-            "max_last_ratio": worst_last,
-            "max_trials": worst_trials,
-        }
-
-    for q in parse_range(args.q):
-        yield {"q": q, "n": args.n, "samples": args.samples}, lambda q=q: point(q)
-
-
-_SWEEPS = {  # kind -> (runner, the range flag it needs)
-    "roots": (_sweep_roots, "q"),
-    "counts": (_sweep_counts, "T"),
-    "skewed": (_sweep_skewed, "T"),
-    "diameter": (_sweep_diameter, "q"),
-    "lift-bounds": (_sweep_lift_bounds, "q"),
+# kind -> (its range flag, (args, value) -> one point's params, (args, params) -> its results)
+_SWEEPS = {
+    "roots": ("q", lambda a, q: {"q": q, "n": a.n, "k": a.k, "budget": a.budget}, _roots_point),
+    "counts": ("T", lambda a, t: {"T": t, "n": a.n}, _counts_point),
+    "skewed": ("T", lambda a, t: {"T": t, "n": 2}, _skewed_point),
+    "diameter": (
+        "q",
+        lambda a, q: {"q": q, "n": a.n, "space": a.space, "t_max": 8 * q if a.t_max is None else a.t_max},
+        lambda a, p: actions.diameter_profile(a.space, a.n, p["q"], p["t_max"]),
+    ),
+    "lift-bounds": ("q", lambda a, q: {"q": q, "n": a.n, "samples": a.samples}, _lift_bounds_point),
 }
 
 
 def _cmd_sweep(args) -> int:
-    runner, needed = _SWEEPS[args.kind]
+    needed, params_of, results_of = _SWEEPS[args.kind]
     if getattr(args, needed) is None:
         raise _UsageError(f"sweep {args.kind} needs --{needed}")
     outputs = [(flag, path) for flag, path in (("csv", args.csv), ("jsonl", args.jsonl)) if path]
     for flag, path in outputs:  # refuse before the sweep runs, not after
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise _UsageError(f"--{flag} {path} is not a file in an existing directory")
+    if args.kind == "skewed" and args.n != 2:
+        raise _UsageError("skewed sweep supports n=2")
     all_records: list[dict] = []
     failures = 0
     points = 0
@@ -330,21 +310,27 @@ def _cmd_sweep(args) -> int:
                 raise _UsageError(f"cannot write --{flag} {path}: {exc.strerror or exc}") from None
 
     try:
-        for params, thunk in runner(args):
+        for value in parse_range(getattr(args, needed)):
             points += 1
+            params = params_of(args, value)
             start = time.monotonic()
             try:
-                results = thunk()
+                results = results_of(args, params)
             except (SlliftError, OverflowError) as exc:  # a q or T beyond float or index range
                 results = {"error": str(exc), "flagged": True}
                 failures += 1
             wall = int(1000 * (time.monotonic() - start))
             record = records.make_record(f"sweep-{args.kind}", params, args.seed, results, wall)
-            print(records.dumps(record))
-            if outputs:  # kept only for the files, so a long sweep's memory stays flat
-                all_records.append(record)
+            # a SIGINT waits until the record is both printed and kept for the files
+            masked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                print(records.dumps(record))
+                if outputs:  # kept only for the files, so a long sweep's memory stays flat
+                    all_records.append(record)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, masked)
     except KeyboardInterrupt:
-        save()  # an interrupted sweep keeps the points it completed
+        save()  # an interrupted sweep keeps the points it printed
         raise
     save()
     if points and failures == points:
@@ -357,8 +343,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lift = sub.add_parser("lift", help="lift a matrix mod q to SL_n(Z)")
-    p_lift.add_argument("--n", type=int, required=True)
-    p_lift.add_argument("--q", type=int, required=True)
+    p_lift.add_argument("--n", type=_bounded("--n", "n", 2), required=True)
+    p_lift.add_argument("--q", type=_bounded("--q", "q", 1), required=True)
     p_lift.add_argument("--matrix", required=True, help="'a,b;c,d' or 'random'")
     p_lift.add_argument("--seed", type=int, default=0)
     p_lift.add_argument("--json", action="store_true")
@@ -367,10 +353,9 @@ def build_parser() -> _Parser:
     p_hard = sub.add_parser("hard", help="emit a hard-to-lift congruence class")
     p_hard.add_argument("--n", type=int)
     p_hard.add_argument("--q", type=int)
-    p_hard.add_argument("--budget", type=int, default=hardness.DEFAULT_ALPHA_BUDGET)
-    p_hard.add_argument("--verify-oracle", type=int, metavar="T_MAX")
+    p_hard.add_argument("--budget", type=_bounded("--budget", "B", 1), default=hardness.DEFAULT_ALPHA_BUDGET)
+    p_hard.add_argument("--verify-oracle", type=_bounded("--verify-oracle", "T_MAX", 1), metavar="T_MAX")
     p_hard.add_argument("--trace-family-m", type=int, metavar="M")
-    p_hard.add_argument("--seed", type=int, default=0)
     p_hard.add_argument("--json", action="store_true")
     p_hard.set_defaults(func=_cmd_hard)
 
@@ -379,9 +364,11 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--q", help="modulus range 'a..b' or comma list")
     p_sweep.add_argument("--T", help="threshold range 'a..b' or comma list")
     p_sweep.add_argument("--n", type=int, default=2)
-    p_sweep.add_argument("--k", type=int, default=2)
-    p_sweep.add_argument("--budget", type=int, default=16)
-    p_sweep.add_argument("--samples", type=int, default=100)
+    # k <= 64: the exact roots target builds q^(k-1), and for q < 2^64 no
+    # prime power lies below q^(1/k) once k >= 64
+    p_sweep.add_argument("--k", type=_bounded("--k", "K", 1, 64), default=2)
+    p_sweep.add_argument("--budget", type=_bounded("--budget", "B", 1), default=16)
+    p_sweep.add_argument("--samples", type=_bounded("--samples", "S", 1), default=100)
     p_sweep.add_argument("--space", choices=("A", "P"), default="P")
     p_sweep.add_argument("--t-max", type=int)
     p_sweep.add_argument("--seed", type=int, default=0)

@@ -215,6 +215,7 @@ def small_nth_powers(q: int, n: int, count: int) -> list[tuple[Residue, Residue,
 
 
 def _diagonal_instance(q: int, n: int, witness: RootWitness) -> IntMatrix:
+    """diag(beta/alpha, beta, ..., beta) mod q, checked to have det 1 mod q."""
     m2 = witness.modulus
     inv_alpha = pow(witness.alpha.value, -1, m2)
     first = witness.beta.value * inv_alpha % m2
@@ -222,7 +223,10 @@ def _diagonal_instance(q: int, n: int, witness: RootWitness) -> IntMatrix:
     rows[0][0] = first % q
     for i in range(1, n):
         rows[i][i] = witness.beta.value % q
-    return IntMatrix(rows)
+    x = IntMatrix(rows)
+    if det(x) % q != 1 % q:
+        raise AssertionError("diagonal instance lost determinant 1")
+    return x
 
 
 def hard_instance(q: int, n: int, alpha_budget: int = DEFAULT_ALPHA_BUDGET) -> HardInstance:
@@ -245,22 +249,16 @@ def hard_instance(q: int, n: int, alpha_budget: int = DEFAULT_ALPHA_BUDGET) -> H
         key=lambda claim: claim[0],
     )
     x = _diagonal_instance(q, n, witness)
-    if det(x) % q != 1 % q:
-        raise AssertionError("diagonal instance lost determinant 1")
-    return HardInstance(
-        q=q,
-        n=n,
-        witness=witness,
-        x=x,
-        lower_bound=bound,
-    )
+    return HardInstance(q=q, n=n, witness=witness, x=x, lower_bound=bound)
 
 
 def trace_family_instance(m: int) -> HardInstance:
     """The explicit dyadic family: q = 8m, x = diag(1-4m, 1+4m) mod q.
 
     With beta = 1+4m and alpha = beta^2 mod q^2, every lift gamma satisfies
-    trace(gamma) = 2 + 16m^2 mod q^2, hence max norm at least q^2 / 8.
+    trace(gamma) = 2 + 16m^2 mod q^2, hence max norm at least q^2 / 8.  x is
+    the diagonal instance of this witness: beta/alpha = 1/beta = 1-4m mod q,
+    as (1+4m)(1-4m) = 1 - 2m*8m.
     """
     if m < 1:
         raise InvalidInput(f"need m >= 1, got {m}")
@@ -269,14 +267,11 @@ def trace_family_instance(m: int) -> HardInstance:
     beta = Residue(1 + 4 * m, m2)
     alpha = Residue(pow(beta.value, 2, m2), m2)
     witness = RootWitness(m2, 2, alpha, beta, method="trace_family")
-    x = IntMatrix([[(1 - 4 * m) % q, 0], [0, (1 + 4 * m) % q]])
-    if det(x) % q != 1 % q:
-        raise AssertionError("trace family instance lost determinant 1")
     return HardInstance(
         q=q,
         n=2,
         witness=witness,
-        x=x,
+        x=_diagonal_instance(q, 2, witness),
         lower_bound=Fraction(q * q, 8),
         trace_mod_q2=(2 + 16 * m * m) % m2,
     )

@@ -220,25 +220,26 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
+def _crt_basis(moduli: list[int]) -> tuple[int, list[int]]:
+    """The product m of the moduli m_i and the idempotents E_i = 1 mod m_i, 0 mod
+    every other m_j; raises NotCoprime unless the moduli are pairwise coprime."""
+    m = 1
+    for mi in moduli:
+        g = math.gcd(m, mi)
+        if g != 1:
+            raise NotCoprime(f"moduli {m} and {mi} share factor {g}")
+        m *= mi
+    return m, [m // mi * pow(m // mi, -1, mi) % m for mi in moduli]
+
+
 def crt(congruences) -> Residue:
     """Combine [(r1, m1), (r2, m2), ...] into the residue mod m1*m2*...
 
     Moduli must be pairwise coprime; raises NotCoprime otherwise.
     """
     items = list(congruences)
-    if not items:
-        return Residue(0, 1)
-    x, m = items[0]
-    x %= m
-    for r, mi in items[1:]:
-        g = math.gcd(m, mi)
-        if g != 1:
-            raise NotCoprime(f"moduli {m} and {mi} share factor {g}")
-        # Garner step: adjust x by a multiple of m to hit r mod mi
-        t = (r - x) * pow(m, -1, mi) % mi
-        x += m * t
-        m *= mi
-    return Residue(x, m)
+    m, idempotents = _crt_basis([mi for _, mi in items])
+    return Residue(sum(r * e for (r, _), e in zip(items, idempotents)), m)
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -326,7 +327,7 @@ def nth_roots(a: Residue, n: int, limit: int | None = None) -> tuple[Residue, ..
         raise NotUnit(f"{a.value} is not a unit mod {m}")
     if n == 1 or m == 1:
         return (a,)
-    components = []
+    moduli, root_sets = [], []
     count = 1
     for p, e in factorize(m):
         pe = p**e
@@ -336,16 +337,13 @@ def nth_roots(a: Residue, n: int, limit: int | None = None) -> tuple[Residue, ..
         count *= len(roots)
         if limit is not None and count > limit:
             raise TooManyRoots(f"root count {count} exceeds cap {limit}")
-        components.append((pe, roots))
-    # precomputed CRT idempotents: E_i = 1 mod p_i^e_i, 0 mod the rest
-    idempotents = []
-    for pe, _ in components:
-        rest = m // pe
-        idempotents.append(rest * pow(rest, -1, pe) % m)
+        moduli.append(pe)
+        root_sets.append(roots)
+    _, idempotents = _crt_basis(moduli)
     # CRT is a bijection, so the combined roots are distinct
     values = sorted(
         sum(r * e for r, e in zip(combo, idempotents)) % m
-        for combo in _cartesian(*(roots for _, roots in components))
+        for combo in _cartesian(*root_sets)
     )
     return tuple(Residue(v, m) for v in values)
 

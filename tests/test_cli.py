@@ -196,6 +196,16 @@ class TestHardCommand:
         assert out == ""
         assert err == f"usage error: --budget needs B >= 1, got {budget}\n"
 
+    def test_seed_is_not_a_flag(self, capsys):
+        # hard has no randomness; its records keep "seed": 0
+        code, out, err = run(["hard", "--n", "2", "--q", "8", "--seed", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and "--seed" in err
+        code, out, _ = run(["hard", "--n", "2", "--q", "8", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["seed"] == 0
+
     def test_prime_too_large_is_budget_exit(self, capsys):
         # 1000003 is a prime above the residue scan bound, and 3 | 1000002,
         # so cube roots mod it go through the unit scan (PrimeTooLarge)
@@ -274,6 +284,41 @@ class TestSweeps:
         assert code == 1
         assert out == ""
         assert err == f"usage error: --k needs K >= 1, got {k}\n"
+
+    def test_roots_k_above_64_is_usage_error_before_any_point(self, capsys):
+        code, out, err = run(["sweep", "roots", "--q", "2..5", "--k", "65"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: --k needs K <= 64, got 65\n"
+
+    def test_roots_k_64_beyond_float_range(self, capsys):
+        code, out, _ = run(["sweep", "roots", "--q", str(10**320), "--k", "64"], capsys)
+        assert code == 0
+        (row,) = records_from(out)
+        assert row["params"]["k"] == 64
+        jsonschema.validate(row, SCHEMA)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("counts --T 1..3 --k 0", "--k needs K >= 1, got 0"),
+            ("diameter --q 2..4 --samples 0", "--samples needs S >= 1, got 0"),
+            ("counts --T 1..3 --budget 0", "--budget needs B >= 1, got 0"),
+        ],
+        ids=["counts-k", "diameter-samples", "counts-budget"],
+    )
+    def test_bounds_hold_for_every_sweep_kind(self, capsys, argv, message):
+        # bounds are checked at parse time, whether or not the kind reads the flag
+        code, out, err = run(["sweep", *argv.split()], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
+    def test_non_integer_flag_keeps_the_argparse_message(self, capsys):
+        code, out, err = run(["sweep", "roots", "--q", "5", "--k", "2.5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: argument --k: invalid int value: '2.5'\n"
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_roots_budget_below_one_is_usage_error(self, capsys, budget):
@@ -495,6 +540,29 @@ class TestNoTracebackEscapes:
         # the file keeps exactly the records printed before the signal
         assert jsonl.read_text() == first + rest
 
+    def test_sigint_right_after_a_print_keeps_that_record(self, tmp_path, capsys, monkeypatch):
+        # the signal lands between a point's print and its keeping for the
+        # files; the sweep must still save exactly what it printed
+        jsonl = tmp_path / "points.jsonl"
+        sent = []
+
+        def print_then_interrupt(*args, **kwargs):
+            print(*args, **kwargs)
+            if not sent:
+                sent.append(True)
+                os.kill(os.getpid(), signal.SIGINT)
+
+        monkeypatch.setattr(cli, "print", print_then_interrupt, raising=False)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            code, out, err = run(["sweep", "counts", "--n", "2", "--T", "1..3", "--jsonl", str(jsonl)], capsys)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert code == cli.EXIT_INTERRUPTED == 130
+        assert err == "interrupted\n"
+        assert len(out.splitlines()) == 1
+        assert jsonl.read_text() == out
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
     def test_huge_range_streams_and_exits_130(self):
         # 10^12 points: the range stays lazy, so the first record comes at once
