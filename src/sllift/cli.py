@@ -1,5 +1,6 @@
 """Command-line surface: lift, hard, and sweep subcommands.
 
+Every record is timed and built by _timed_record from its own params and seed.
 Each sweep kind is one row of _SWEEPS, run by the one loop in _cmd_sweep;
 bounded integer flags are checked once, at parse time.
 
@@ -53,6 +54,10 @@ def _bounded(flag: str, symbol: str, low: int, high: int | None = None):
     return parse
 
 
+# a record's seed is a bare JSON integer, so it stays within the exact range of a double
+_SEED = _bounded("--seed", "S", -(2**53), 2**53)
+
+
 def _mix(*parts: int) -> int:
     h = 0x9E3779B97F4A7C15
     for p in parts:
@@ -98,53 +103,64 @@ def parse_range(text: str) -> range | list[int]:
         raise _UsageError(f"bad range {text!r}") from None
 
 
-def _certificate_results(cert: lifting.LiftCertificate) -> dict:
+def _timed_record(command: str, params: dict, seed: int, results_of, catch=()) -> tuple[dict, dict]:
+    """Time results_of(params, seed); an exception in `catch` becomes flagged error results."""
+    start = time.monotonic()
+    try:
+        results = results_of(params, seed)
+    except catch as exc:
+        results = {"error": str(exc), "flagged": True}
+    wall = int(1000 * (time.monotonic() - start))
+    return results, records.make_record(command, params, seed, results, wall)
+
+
+def _print_run(args, params: dict, seed: int, results_of, text) -> dict:
+    """Run lift or hard once; print its record as JSON, or text(results, seed)."""
+    results, record = _timed_record(args.command, params, seed, results_of)
+    print(records.dumps(record) if args.json else text(results, seed))
+    return results
+
+
+def _lift_results(params: dict, seed: int) -> dict:
+    n, q = params["n"], params["q"]
+    try:
+        if params["matrix"] == "random":
+            x = lifting.random_sl_matrix(n, q, seed)
+        else:
+            x = parse_matrix(params["matrix"], n)
+    except InvalidInput as exc:
+        raise _UsageError(str(exc)) from None
+    cert = lifting.lift(x, q, seed=seed)
+    fields = ("gamma", "n", "q", "first_rows_max", "last_row_max", "trials_used")
+    results = {k: getattr(cert, k) for k in fields}
     report = norm_report(cert.gamma)
-    return {
-        "gamma": cert.gamma,
-        "n": cert.n,
-        "q": cert.q,
-        "first_rows_max": cert.first_rows_max,
-        "last_row_max": cert.last_row_max,
-        "trials_used": cert.trials_used,
-        "max_norm": report.max_norm,
-        "op_norm_estimate": report.op_norm_estimate,
-    }
+    return {**results, "max_norm": report.max_norm, "op_norm_estimate": report.op_norm_estimate}
+
+
+def _lift_text(r: dict, seed: int) -> str:
+    head = f"lift n={r['n']} q={r['q']} seed={seed} trials={r['trials_used']}"
+    rows = ["  " + " ".join(str(v) for v in row) for row in r["gamma"].rows]
+    return "\n".join([head, *rows, f"first_rows_max={r['first_rows_max']} last_row_max={r['last_row_max']}"])
 
 
 def _cmd_lift(args) -> int:
-    start = time.monotonic()
-    try:
-        if args.matrix == "random":
-            x = lifting.random_sl_matrix(args.n, args.q, args.seed)
-        else:
-            x = parse_matrix(args.matrix, args.n)
-    except InvalidInput as exc:
-        raise _UsageError(str(exc)) from None
-    cert = lifting.lift(x, args.q, seed=args.seed)
-    wall = int(1000 * (time.monotonic() - start))
-    record = records.make_record(
-        "lift",
-        {"n": args.n, "q": args.q, "matrix": args.matrix},
-        args.seed,
-        _certificate_results(cert),
-        wall,
-    )
-    if args.json:
-        print(records.dumps(record))
-    else:
-        print(f"lift n={cert.n} q={cert.q} seed={cert.seed} trials={cert.trials_used}")
-        for row in cert.gamma.rows:
-            print("  " + " ".join(str(v) for v in row))
-        print(
-            f"first_rows_max={cert.first_rows_max} last_row_max={cert.last_row_max}"
-        )
+    params = {k: getattr(args, k) for k in ("n", "q", "matrix")}
+    _print_run(args, params, args.seed, _lift_results, _lift_text)
     return EXIT_OK
 
 
-def _hard_results(instance: hardness.HardInstance) -> dict:
+def _root_pair(w: hardness.RootWitness) -> dict:
+    """A witness's unit alpha and its n-th root beta, with their signed sizes."""
+    return {"alpha": w.alpha.value, "beta": w.beta.value, "abs_alpha": w.abs_alpha, "abs_n_beta": w.abs_n_beta}
+
+
+def _hard_results(params: dict, seed: int) -> dict:
+    if params["trace_family_m"] is not None:
+        instance = hardness.trace_family_instance(params["trace_family_m"])
+    else:
+        instance = hardness.hard_instance(params["q"], params["n"], params["budget"])
     w = instance.witness
-    return {
+    results = {
         "q": instance.q,
         "n": instance.n,
         "x": instance.x,
@@ -153,132 +169,106 @@ def _hard_results(instance: hardness.HardInstance) -> dict:
         "trace_mod_q2": instance.trace_mod_q2,
         "witness": {
             "modulus": w.modulus,
-            "alpha": w.alpha.value,
-            "beta": w.beta.value,
-            "abs_alpha": w.abs_alpha,
-            "abs_n_beta": w.abs_n_beta,
+            **_root_pair(w),
             "flagged": w.flagged,
             "degenerate": w.degenerate,
             "method": w.method,
         },
     }
-
-
-def _cmd_hard(args) -> int:
-    start = time.monotonic()
-    if args.trace_family_m is not None:
-        instance = hardness.trace_family_instance(args.trace_family_m)
-    else:
-        if args.n is None or args.q is None:
-            raise _UsageError("hard needs --n and --q (or --trace-family-m)")
-        instance = hardness.hard_instance(args.q, args.n, args.budget)
-    results = _hard_results(instance)
-    code = EXIT_OK
-    if args.verify_oracle is not None:
+    t_max = params["verify_oracle"]
+    if t_max is not None:
         try:
-            minimum = oracle.min_lift_norm(instance.x, instance.q, args.verify_oracle)
+            minimum = oracle.min_lift_norm(instance.x, instance.q, t_max)
         except BudgetExceeded as exc:
-            print(f"budget exhausted: {exc}", file=sys.stderr)
             results["oracle"] = {"error": str(exc), "flagged": True}
-            code = EXIT_BUDGET
         else:
             bound = math.ceil(instance.lower_bound)
             results["oracle"] = {
-                "t_max": args.verify_oracle,
+                "t_max": t_max,
                 "min_lift_norm": minimum,
                 "bound": bound,
                 "verified": minimum is not None and minimum >= bound,
             }
-    wall = int(1000 * (time.monotonic() - start))
-    record = records.make_record(
-        "hard",
-        {
-            "n": args.n,
-            "q": args.q,
-            "budget": args.budget,
-            "trace_family_m": args.trace_family_m,
-            "verify_oracle": args.verify_oracle,
-        },
-        0,  # hard has no randomness; the schema still wants a seed
-        results,
-        wall,
+    return results
+
+
+def _hard_text(r: dict, seed: int) -> str:
+    w = r["witness"]
+    text = (
+        f"hard n={r['n']} q={r['q']} alpha={w['alpha']} beta={w['beta']} "
+        f"|n*beta|={w['abs_n_beta']} bound={r['lower_bound']}"
     )
-    if args.json:
-        print(records.dumps(record))
-    else:
-        w = results["witness"]
-        print(
-            f"hard n={instance.n} q={instance.q} alpha={w['alpha']} beta={w['beta']} "
-            f"|n*beta|={w['abs_n_beta']} bound={instance.lower_bound}"
-        )
-        if "oracle" in results:
-            print(f"oracle: {results['oracle']}")
-    return code
+    return text + f"\noracle: {r['oracle']}" if "oracle" in r else text
 
 
-def _roots_point(args, params: dict) -> dict:
-    q, k = params["q"], args.k
+def _cmd_hard(args) -> int:
+    if args.trace_family_m is None and (args.n is None or args.q is None):
+        raise _UsageError("hard needs --n and --q (or --trace-family-m)")
+    if args.trace_family_m is not None and (args.n is not None or args.q is not None):
+        raise _UsageError("hard --trace-family-m takes no --n or --q")
+    params = {k: getattr(args, k) for k in ("n", "q", "budget", "trace_family_m", "verify_oracle")}
+    # hard has no randomness; the schema still wants a seed
+    checked = _print_run(args, params, 0, _hard_results, _hard_text).get("oracle", {})
+    if "error" in checked:
+        print(f"budget exhausted: {checked['error']}", file=sys.stderr)
+        return EXIT_BUDGET
+    return EXIT_OK
+
+
+def _roots_point(params: dict, seed: int) -> dict:
+    q, k = params["q"], params["k"]
     # exact ceil(q^((k-1)/k)): the least t with t^k >= q^(k-1)
     target = residue.int_nth_root(q ** (k - 1) - 1, k) + 1
-    witness = hardness.find_large_root(q, args.n, args.budget, target=target)
-    other = hardness.small_p_factor_root(q, args.n, k)
+    witness = hardness.find_large_root(q, params["n"], params["budget"], target=target)
+    other = hardness.small_p_factor_root(q, params["n"], k)
     if other is not None and other.abs_n_beta > witness.abs_n_beta:
         witness = other
     return {
         "q": q,
         "method": witness.method,
-        "alpha": witness.alpha.value,
-        "beta": witness.beta.value,
-        "abs_alpha": witness.abs_alpha,
-        "abs_n_beta": witness.abs_n_beta,
+        **_root_pair(witness),
         "target": target,
         "ratio_to_target": witness.abs_n_beta / target if target else None,
         "flagged": witness.flagged,
     }
 
 
-def _counts_point(args, params: dict) -> dict:
-    ((t, count, ratio),) = oracle.norm_count_table(args.n, [params["T"]])
+def _counts_point(params: dict, seed: int) -> dict:
+    ((t, count, ratio),) = oracle.norm_count_table(params["n"], [params["T"]])
     return {"T": t, "count": count, "ratio": ratio}
 
 
-def _skewed_point(args, params: dict) -> dict:
+def _skewed_point(params: dict, seed: int) -> dict:
     t = params["T"]
     count = oracle.count_sl(oracle.EnumSpec(n=2, caps=(t, t * t)))
     norm = count / (t**3 * math.log2(t + 1)) if t >= 1 else None
     return {"T": t, "count": count, "normalized": norm}
 
 
-def _lift_bounds_point(args, params: dict) -> dict:
-    q = params["q"]
+def _lift_bounds_point(params: dict, seed: int) -> dict:
+    q, n = params["q"], params["n"]
     scale_first = q * math.log2(q + 2)
     scale_last = q * q * math.log2(q + 2)
     worst_first, worst_last, worst_trials = 0.0, 0.0, 0
-    for s in range(args.samples):
-        x = lifting.random_sl_matrix(args.n, q, _mix(args.seed, q, s))
-        cert = lifting.lift(x, q, seed=_mix(args.seed, q, s, 1))
+    for s in range(params["samples"]):
+        x = lifting.random_sl_matrix(n, q, _mix(seed, q, s))
+        cert = lifting.lift(x, q, seed=_mix(seed, q, s, 1))
         worst_first = max(worst_first, cert.first_rows_max / scale_first)
         worst_last = max(worst_last, cert.last_row_max / scale_last)
         worst_trials = max(worst_trials, cert.trials_used)
-    return {
-        "q": q,
-        "n": args.n,
-        "samples": args.samples,
-        "max_first_ratio": worst_first,
-        "max_last_ratio": worst_last,
-        "max_trials": worst_trials,
-    }
+    ratios = {"max_first_ratio": worst_first, "max_last_ratio": worst_last, "max_trials": worst_trials}
+    return {**params, **ratios}  # the results lead with the point's params: q, n, samples
 
 
-# kind -> (its range flag, (args, value) -> one point's params, (args, params) -> its results)
+# kind -> (its range flag, (args, value) -> one point's params, (params, seed) -> its results)
 _SWEEPS = {
     "roots": ("q", lambda a, q: {"q": q, "n": a.n, "k": a.k, "budget": a.budget}, _roots_point),
     "counts": ("T", lambda a, t: {"T": t, "n": a.n}, _counts_point),
     "skewed": ("T", lambda a, t: {"T": t, "n": 2}, _skewed_point),
     "diameter": (
         "q",
-        lambda a, q: {"q": q, "n": a.n, "space": a.space, "t_max": 8 * q if a.t_max is None else a.t_max},
-        lambda a, p: actions.diameter_profile(a.space, a.n, p["q"], p["t_max"]),
+        lambda a, q: {"q": q, "n": a.n, "space": a.space, "t_max": 8 * q},
+        lambda p, seed: actions.diameter_profile(p["space"], p["n"], p["q"], p["t_max"]),
     ),
     "lift-bounds": ("q", lambda a, q: {"q": q, "n": a.n, "samples": a.samples}, _lift_bounds_point),
 }
@@ -297,6 +287,7 @@ def _cmd_sweep(args) -> int:
     all_records: list[dict] = []
     failures = 0
     points = 0
+    caught = (SlliftError, OverflowError)  # OverflowError: a q or T beyond float or index range
 
     def save():
         for flag, path in outputs:
@@ -313,14 +304,8 @@ def _cmd_sweep(args) -> int:
         for value in parse_range(getattr(args, needed)):
             points += 1
             params = params_of(args, value)
-            start = time.monotonic()
-            try:
-                results = results_of(args, params)
-            except (SlliftError, OverflowError) as exc:  # a q or T beyond float or index range
-                results = {"error": str(exc), "flagged": True}
-                failures += 1
-            wall = int(1000 * (time.monotonic() - start))
-            record = records.make_record(f"sweep-{args.kind}", params, args.seed, results, wall)
+            results, record = _timed_record(f"sweep-{args.kind}", params, args.seed, results_of, caught)
+            failures += "error" in results
             # a SIGINT waits until the record is both printed and kept for the files
             masked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
@@ -346,7 +331,7 @@ def build_parser() -> _Parser:
     p_lift.add_argument("--n", type=_bounded("--n", "n", 2), required=True)
     p_lift.add_argument("--q", type=_bounded("--q", "q", 1), required=True)
     p_lift.add_argument("--matrix", required=True, help="'a,b;c,d' or 'random'")
-    p_lift.add_argument("--seed", type=int, default=0)
+    p_lift.add_argument("--seed", type=_SEED, default=0)
     p_lift.add_argument("--json", action="store_true")
     p_lift.set_defaults(func=_cmd_lift)
 
@@ -370,8 +355,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--budget", type=_bounded("--budget", "B", 1), default=16)
     p_sweep.add_argument("--samples", type=_bounded("--samples", "S", 1), default=100)
     p_sweep.add_argument("--space", choices=("A", "P"), default="P")
-    p_sweep.add_argument("--t-max", type=int)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=_SEED, default=0)
     p_sweep.add_argument("--csv", metavar="PATH")
     p_sweep.add_argument("--jsonl", metavar="PATH")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -32,7 +32,7 @@ def _convert(value):
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, Fraction):
-        return {"numerator": _convert(value.numerator), "denominator": _convert(value.denominator)}
+        return _convert({"numerator": value.numerator, "denominator": value.denominator})
     if isinstance(value, IntMatrix):
         return [_convert(list(r)) for r in value.rows]
     if isinstance(value, dict):

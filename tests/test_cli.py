@@ -132,6 +132,40 @@ class TestLiftCommand:
         gamma = json.loads(out)["results"]["gamma"]
         assert all((gamma[i][i] + 3) % 8 == 0 for i in range(2))
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (
+                ["--n", "2", "--q", "8", "--matrix", "5,0;0,5"],
+                "lift n=2 q=8 seed=0 trials=2\n  5 8\n  8 13\nfirst_rows_max=8 last_row_max=13\n",
+            ),
+            (
+                ["--n", "3", "--q", "101", "--matrix", "random", "--seed", "7"],
+                "lift n=3 q=101 seed=7 trials=1\n  14 17 31\n  26 -50 39\n  -597 1080 -911\n"
+                "first_rows_max=50 last_row_max=1080\n",
+            ),
+        ],
+    )
+    def test_text_output_is_pinned(self, capsys, argv, text):
+        code, out, err = run(["lift", *argv], capsys)
+        assert (code, out, err) == (0, text, "")
+
+    @pytest.mark.parametrize("seed", [str(2**53 + 1), str(-(2**53) - 1)])
+    def test_seed_beyond_two_to_the_53_is_usage_error(self, capsys, seed):
+        code, out, err = run(["lift", "--n", "2", "--q", "5", "--matrix", "random", "--seed", seed], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: --seed needs S ") and err.endswith(f", got {seed}\n")
+
+    @pytest.mark.parametrize("seed", [2**53, -(2**53)])
+    def test_seed_at_two_to_the_53_is_a_bare_integer(self, capsys, seed):
+        argv = ["lift", "--n", "2", "--q", "5", "--matrix", "random", "--seed", str(seed), "--json"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        record = json.loads(out)
+        jsonschema.validate(record, SCHEMA)
+        assert record["seed"] == seed
+
     class _Unlisted(SlliftError):
         pass
 
@@ -171,6 +205,53 @@ class TestHardCommand:
         res = json.loads(out)["results"]
         assert res["trace_mod_q2"] == 18
         assert res["x"] == [[5, 0], [0, 5]]
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["--n", "2", "--q", "8"], "hard n=2 q=8 alpha=33 beta=15 |n*beta|=30 bound=15/31\n"),
+            (
+                ["--n", "2", "--q", "8", "--budget", "17", "--verify-oracle", "30"],
+                "hard n=2 q=8 alpha=57 beta=11 |n*beta|=22 bound=11/7\n"
+                "oracle: {'t_max': 30, 'min_lift_norm': 13, 'bound': 2, 'verified': True}\n",
+            ),
+            (
+                ["--trace-family-m", "2", "--verify-oracle", "512"],
+                "hard n=2 q=16 alpha=81 beta=9 |n*beta|=18 bound=32\n"
+                "oracle: {'t_max': 512, 'min_lift_norm': 41, 'bound': 32, 'verified': True}\n",
+            ),
+        ],
+    )
+    def test_text_output_is_pinned(self, capsys, argv, text):
+        code, out, err = run(["hard", *argv], capsys)
+        assert (code, out, err) == (0, text, "")
+
+    def test_text_output_when_the_oracle_runs_out_of_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("SLLIFT_BUDGET", "10")
+        code, out, err = run(["hard", "--n", "2", "--q", "101", "--verify-oracle", "3000"], capsys)
+        assert code == cli.EXIT_BUDGET
+        assert out == (
+            "hard n=2 q=101 alpha=10176 beta=2575 |n*beta|=5051 bound=5051/50\n"
+            "oracle: {'error': 'candidate space 12 exceeds budget 10', 'flagged': True}\n"
+        )
+        assert err == "budget exhausted: candidate space 12 exceeds budget 10\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "3", "--q", "5"], ["--n", "3"], ["--q", "5"]],
+    )
+    def test_trace_family_takes_no_n_or_q(self, capsys, argv):
+        code, out, err = run(["hard", *argv, "--trace-family-m", "1", "--json"], capsys)
+        assert code == cli.EXIT_USAGE == 1
+        assert out == ""
+        assert err == "usage error: hard --trace-family-m takes no --n or --q\n"
+
+    def test_large_fraction_parts_take_the_str_suffix(self, capsys):
+        code, out, _ = run(["hard", "--n", "2", "--q", "1000000007", "--json"], capsys)
+        assert code == 0
+        record = json.loads(out)
+        jsonschema.validate(record, SCHEMA)
+        assert record["results"]["lower_bound"] == {"numerator_str": "498950634803414467", "denominator": 78}
 
     def test_vacuous_flagged(self, capsys):
         code, out, _ = run(["hard", "--n", "2", "--q", "3", "--json"], capsys)
@@ -398,6 +479,28 @@ class TestSweeps:
         jsonschema.validate(row, SCHEMA)
         assert row["results"] == {"error": "need n >= 1, got 0", "flagged": True}
 
+    def test_diameter_t_max_is_8q_and_not_a_flag(self, capsys):
+        code, out, _ = run(["sweep", "diameter", "--n", "2", "--q", "3,5"], capsys)
+        assert code == 0
+        assert [r["params"]["t_max"] for r in records_from(out)] == [24, 40]
+        code, out, err = run(["sweep", "diameter", "--n", "2", "--q", "3", "--t-max", "7"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and "--t-max" in err
+
+    def test_seed_is_bounded_by_two_to_the_53(self, capsys):
+        argv = ["sweep", "lift-bounds", "--n", "2", "--q", "5", "--samples", "2", "--seed"]
+        code, out, err = run([*argv, str(2**53 + 1)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: --seed needs S <= {2**53}, got {2**53 + 1}\n"
+        for seed in (2**53, -(2**53)):
+            code, out, _ = run([*argv, str(seed)], capsys)
+            assert code == 0
+            (record,) = records_from(out)
+            jsonschema.validate(record, SCHEMA)
+            assert record["seed"] == seed
+
     def test_lift_bounds_sweep(self, capsys):
         code, out, _ = run(
             ["sweep", "lift-bounds", "--n", "2", "--q", "16", "--samples", "5", "--seed", "3"],
@@ -606,6 +709,13 @@ class TestRecords:
         )
         assert rec["results"]["bound"] == {"numerator": 11, "denominator": 7}
         assert rec["results"]["x"] == [[1, 0], [0, 1]]
+
+    def test_large_fraction_parts_take_the_str_suffix(self):
+        from fractions import Fraction
+
+        rec = records.make_record("t", {}, 0, {"bound": Fraction(-(2**60), 2**61 - 1)}, 0)
+        assert rec["results"]["bound"] == {"numerator_str": str(-(2**60)), "denominator_str": str(2**61 - 1)}
+        jsonschema.validate(rec, SCHEMA)
 
     def test_atomic_write(self, tmp_path):
         path = str(tmp_path / "f.txt")
