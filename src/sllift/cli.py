@@ -206,7 +206,11 @@ def _cmd_hard(args) -> int:
         raise _UsageError("hard needs --n and --q (or --trace-family-m)")
     if args.trace_family_m is not None and (args.n is not None or args.q is not None):
         raise _UsageError("hard --trace-family-m takes no --n or --q")
+    if args.trace_family_m is not None and args.budget is not None:
+        raise _UsageError("hard --trace-family-m takes no --budget")
     params = {k: getattr(args, k) for k in ("n", "q", "budget", "trace_family_m", "verify_oracle")}
+    if params["budget"] is None:
+        params["budget"] = hardness.DEFAULT_ALPHA_BUDGET
     # hard has no randomness; the schema still wants a seed
     checked = _print_run(args, params, 0, _hard_results, _hard_text).get("oracle", {})
     if "error" in checked:
@@ -336,11 +340,12 @@ def build_parser() -> _Parser:
     p_lift.set_defaults(func=_cmd_lift)
 
     p_hard = sub.add_parser("hard", help="emit a hard-to-lift congruence class")
-    p_hard.add_argument("--n", type=int)
-    p_hard.add_argument("--q", type=int)
-    p_hard.add_argument("--budget", type=_bounded("--budget", "B", 1), default=hardness.DEFAULT_ALPHA_BUDGET)
+    p_hard.add_argument("--n", type=_bounded("--n", "n", 2))
+    p_hard.add_argument("--q", type=_bounded("--q", "q", 2))
+    # default None, so a --budget beside --trace-family-m shows; records get DEFAULT_ALPHA_BUDGET
+    p_hard.add_argument("--budget", type=_bounded("--budget", "B", 1))
     p_hard.add_argument("--verify-oracle", type=_bounded("--verify-oracle", "T_MAX", 1), metavar="T_MAX")
-    p_hard.add_argument("--trace-family-m", type=int, metavar="M")
+    p_hard.add_argument("--trace-family-m", type=_bounded("--trace-family-m", "M", 1), metavar="M")
     p_hard.add_argument("--json", action="store_true")
     p_hard.set_defaults(func=_cmd_hard)
 

@@ -1,8 +1,9 @@
 """Exact integer and mod-q matrix algebra.
 
-Determinants, adjugates mod q, maximal minors, the mod-q row-combination
-solver and size reduction against a fixed basis, all on one fraction-free
-(Bareiss) elimination.  All arithmetic is exact integer; the only float in
+Determinants, maximal minors and size reduction against a fixed basis run on
+one fraction-free (Bareiss) elimination over Z; inverses mod q and the mod-q
+row-combination solver run on one Gaussian elimination over Z/qZ whose
+entries stay below q.  All arithmetic is exact integer; the only float in
 this module is the informational operator-norm estimate.
 """
 
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadShape, DependentRows, NotInvertible, NotSquare
+from .residue import ext_gcd
 
 # Power iteration in op_norm_estimate stops at this relative change or count.
 _OP_NORM_TOL = 1e-9
@@ -122,17 +124,62 @@ def det(m: IntMatrix) -> int:
     return _eliminate(m.rows)[0]
 
 
+def _eliminate_mod(rows, q, rhs):
+    """A^-1 R mod q for square A with det = 1 mod q, by elimination over Z/qZ.
+
+    Entries stay in [0, q).  A column with a unit on or below the diagonal
+    takes it as pivot (a row swap negates the determinant) and clears the
+    rows below by subtracting multiples.  A column without one (possible in
+    an invertible matrix only when q has two prime factors, as
+    [[2, 3], [3, 2]] mod 6) is cleared by 2x2 row steps [[s, t], [-b/g, a/g]] of
+    determinant 1 (s*a + t*b = g = gcd(a, b)), which leave the column's gcd
+    on the diagonal.  det(A) mod q is then the signed product of the
+    diagonal; NotInvertible reports it unless it is 1, and otherwise every
+    pivot is a unit and back-substitution gives the solution.
+    """
+    n = len(rows)
+    a = [[x % q for x in r] + [y % q for y in extra] for r, extra in zip(rows, rhs)]
+    d = 1
+    for k in range(n):
+        unit = next((i for i in range(k, n) if math.gcd(a[i][k], q) == 1), None)
+        if unit is None:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    g, s, t = ext_gcd(a[k][k], a[i][k])
+                    u, w = a[k][k] // g, a[i][k] // g
+                    top, row = a[k], a[i]
+                    a[k] = [(s * x + t * y) % q for x, y in zip(top, row)]
+                    a[i] = [(u * y - w * x) % q for x, y in zip(top, row)]
+        else:
+            if unit != k:
+                a[k], a[unit] = a[unit], a[k]
+                d = -d
+            top = a[k]
+            inv = pow(top[k], -1, q)
+            for i in range(k + 1, n):
+                f = a[i][k] * inv % q
+                if f:
+                    a[i] = [(x - f * y) % q for x, y in zip(a[i], top)]
+        d = d * a[k][k] % q
+    if d != 1 % q:
+        raise NotInvertible(f"det is {d} mod {q}, need 1")
+    x = [()] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        inv = pow(row[i], -1, q)
+        x[i] = [
+            (row[n + c] - sum(row[j] * x[j][c] for j in range(i + 1, n))) * inv % q
+            for c in range(len(row) - n)
+        ]
+    return x
+
+
 def adjugate_mod(m: IntMatrix, q: int) -> IntMatrix:
     """Inverse mod q of a matrix with det = 1 mod q (its adjugate reduced)."""
     n = m.nrows
     if n != m.ncols:
         raise NotSquare(f"{n}x{m.ncols} matrix")
-    if q == 1:
-        return IntMatrix([[0] * n] * n)
-    d, adj = _eliminate(m.rows, IntMatrix.identity(n).rows)
-    if d % q != 1 % q:
-        raise NotInvertible(f"det is {d % q} mod {q}, need 1")
-    return IntMatrix([[e % q for e in row] for row in adj])
+    return IntMatrix(_eliminate_mod(m.rows, q, IntMatrix.identity(n).rows))
 
 
 def maximal_minors(b: IntMatrix) -> tuple[int, ...]:
@@ -158,45 +205,53 @@ def maximal_minors(b: IntMatrix) -> tuple[int, ...]:
 def solve_mod(a: IntMatrix, w, q: int) -> tuple[int, ...]:
     """Coefficients (a_1..a_n) mod q with sum a_i * row_i(A) = w mod q.
 
-    A must have det = 1 mod q; the solve goes through the adjugate, so the
-    last coefficient equals the Cramer determinant det(rows 1..n-1, w) mod q
-    and in particular vanishes whenever that determinant does.
+    A must have det = 1 mod q.  The solution is unique mod q: it solves
+    A^T a = w by one elimination over Z/qZ, and it equals w adj(A) mod q,
+    so the last coefficient is the Cramer determinant det(rows 1..n-1, w)
+    mod q and in particular vanishes whenever that determinant does.
     """
     n = a.nrows
-    w = tuple(int(x) % q for x in w)
+    w = tuple(int(x) for x in w)
     if len(w) != n:
         raise BadShape(f"vector length {len(w)} vs matrix size {n}")
-    inv = adjugate_mod(a, q)
-    return tuple(
-        sum(w[i] * inv.rows[i][j] for i in range(n)) % q for j in range(n)
-    )
+    if n != a.ncols:
+        raise NotSquare(f"{n}x{a.ncols} matrix")
+    return tuple(y for (y,) in _eliminate_mod(tuple(zip(*a.rows)), q, [(y,) for y in w]))
 
 
-def size_reduce(v, b: IntMatrix) -> tuple[int, ...]:
-    """Reduce v modulo the row lattice of B by nearest-integer projection.
+def size_reduce(v, b: IntMatrix, c) -> tuple[int, ...]:
+    """Reduce v modulo the row lattice of an (n-1) x n matrix B by
+    nearest-integer projection, given c = maximal_minors(B).
 
-    Solves the normal equations G a = B v^T (G = B B^T) by fraction-free
-    elimination, as a = x / d with d = det(G) > 0, and returns
+    c is orthogonal to every row of B, so the projection of v onto their
+    span is |c|^-2 (|c|^2 v - <v, c> c) = B^T a with a = G^-1 B v
+    (G = B B^T, det G = |c|^2 by Cauchy-Binet).  One fraction-free solve of
+    [B; e_j]^T y = |c|^2 v - <v, c> c, for the last column j with c_j != 0
+    (det = c_j), gives y = (|c|^2 a, 0), and the function returns
     v - sum round(a_i) row_i(B), rounding ties toward +inf.  The output is
     congruent to v mod the row lattice; when the component of v orthogonal
     to the rows has length at most 1 (as in unimodular completion), its max
     norm is at most (n/2) max_norm(B) + 1.  Arithmetic is exact integer.
     """
     v = tuple(int(x) for x in v)
-    if len(v) != b.ncols:
-        raise BadShape(f"vector length {len(v)} vs {b.nrows}x{b.ncols}")
-    rows = b.rows
-    g = [[sum(x * y for x, y in zip(r1, r2)) for r2 in rows] for r1 in rows]
-    rhs = [(sum(x * y for x, y in zip(r, v)),) for r in rows]
-    d, x = _eliminate(g, rhs)
-    if d == 0:
+    n = b.ncols
+    if len(v) != n or b.nrows != n - 1 or len(c) != n:
+        raise BadShape(f"need v, c of length n and B (n-1) x n, got {len(v)}, {len(c)}, {b.nrows}x{n}")
+    norm2 = sum(x * x for x in c)
+    if norm2 == 0:
         raise DependentRows("Gram matrix is singular")
+    j = max(i for i, x in enumerate(c) if x)
+    vc = sum(x * y for x, y in zip(v, c))
+    rhs = [(norm2 * x - vc * y,) for x, y in zip(v, c)]
+    cols = [col + (int(i == j),) for i, col in enumerate(zip(*b.rows))]
+    d, x = _eliminate(cols, rhs)
+    den = d * norm2
     out = list(v)
-    for (num,), row in zip(x, rows):
-        k = (2 * num + d) // (2 * d)  # nearest integer to num / d, ties toward +inf
+    for (num,), row in zip(x, b.rows):
+        k = (2 * num + den) // (2 * den)  # floor(num / den + 1/2) for either sign of den
         if k:
-            for j in range(len(out)):
-                out[j] -= k * row[j]
+            for i in range(n):
+                out[i] -= k * row[i]
     return tuple(out)
 
 

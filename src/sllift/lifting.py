@@ -3,8 +3,11 @@
 Pipeline: lift_rows lifts the first n-1 rows so they extend to SL_n(Z)
 (the first extendable candidate of one stream: the signed lift, random
 offsets, then a CRT-based fallback) and returns their maximal minors;
-complete_rows turns those into a short last row (extended gcd plus size
-reduction); lift corrects that row mod q by coefficients solved mod q.
+complete_rows turns those into a short last row (extended gcd, then size
+reduction by one fraction-free solve built on the same minors); lift
+corrects that row mod q by coefficients from one elimination over Z/qZ.
+The entry and exit checks are exact: det(x) mod q from the integer
+determinant, det(gamma) = 1 over Z and gamma = x mod q entrywise.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ def complete_rows(b: IntMatrix, c: tuple[int, ...]) -> tuple[int, ...]:
     given c = maximal_minors(B) (lift_rows returns them).
 
     Solves <v0, c> = 1 by iterated extended gcd, then size-reduces v0
-    against the rows of B.
+    against the rows of B, which reads its projection off c.
     """
     g, coeffs = c[0], [1]
     for ci in c[1:]:
@@ -122,7 +125,7 @@ def complete_rows(b: IntMatrix, c: tuple[int, ...]) -> tuple[int, ...]:
         coeffs.append(t)
     if g != 1:
         raise NotExtendable(f"gcd of maximal minors is {g}")
-    v = intmat.size_reduce(coeffs, b)
+    v = intmat.size_reduce(coeffs, b, c)
     if sum(x * y for x, y in zip(v, c)) != 1:
         raise AssertionError("completion lost the determinant")
     return v
@@ -133,8 +136,9 @@ def lift(x: IntMatrix, q: int, seed: int = 0) -> LiftCertificate:
 
     First n-1 rows and their minors come from lift_rows, the last row from
     complete_rows on those minors, corrected modulo q by signed multiples of
-    the lifted rows; the row-combination coefficients are solved mod q and
-    their last coordinate always vanishes for valid inputs.
+    the lifted rows; the row-combination coefficients come from
+    intmat.solve_mod (entries below q throughout) and their last coordinate
+    always vanishes for valid inputs.
     """
     n = x.nrows
     if n < 2 or x.ncols != n:

@@ -246,6 +246,34 @@ class TestHardCommand:
         assert out == ""
         assert err == "usage error: hard --trace-family-m takes no --n or --q\n"
 
+    def test_trace_family_takes_no_budget(self, capsys):
+        code, out, err = run(["hard", "--trace-family-m", "2", "--budget", "3", "--json"], capsys)
+        assert (code, out, err) == (1, "", "usage error: hard --trace-family-m takes no --budget\n")
+        # without --budget the record still carries the default, as before
+        code, out, _ = run(["hard", "--trace-family-m", "2", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["params"] == {
+            "n": None,
+            "q": None,
+            "budget": 64,
+            "trace_family_m": 2,
+            "verify_oracle": None,
+        }
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--n", "1", "--q", "5"], "--n needs n >= 2, got 1"),
+            (["--n", "2", "--q", "0"], "--q needs q >= 2, got 0"),
+            (["--n", "2", "--q", "1"], "--q needs q >= 2, got 1"),
+            (["--trace-family-m", "0"], "--trace-family-m needs M >= 1, got 0"),
+            (["--trace-family-m", "-2"], "--trace-family-m needs M >= 1, got -2"),
+        ],
+    )
+    def test_out_of_range_is_usage_error(self, capsys, argv, err):
+        code, out, got = run(["hard", *argv, "--json"], capsys)
+        assert (code, out, got) == (1, "", f"usage error: {err}\n")
+
     def test_large_fraction_parts_take_the_str_suffix(self, capsys):
         code, out, _ = run(["hard", "--n", "2", "--q", "1000000007", "--json"], capsys)
         assert code == 0

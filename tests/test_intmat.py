@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sllift.errors import BadShape, DependentRows, NotInvertible, NotSquare
 from sllift.intmat import (
@@ -115,12 +117,72 @@ class TestAdjugateMod:
         for m in (IntMatrix([[1, 2], [2, 4]]), IntMatrix([[0, 0, 0]] * 3)):
             assert adjugate_mod(m, 1) == IntMatrix([[0] * m.nrows] * m.nrows)
 
+    def test_no_unit_in_first_column(self):
+        # det = -5 = 1 mod 6, but 2 and 3 are both zero divisors mod 6
+        m = IntMatrix([[2, 3], [3, 2]])
+        inv = adjugate_mod(m, 6)
+        assert inv == IntMatrix([[2, 3], [3, 2]])  # its own inverse: m^2 = [[13, 12], [12, 13]] = I mod 6
+        assert matmul(m, inv).reduce_mod(6) == IntMatrix.identity(2)
+
+    def test_not_invertible_message(self):
+        with pytest.raises(NotInvertible, match=r"^det is 0 mod 6, need 1$"):
+            adjugate_mod(IntMatrix([[2, 3], [4, 0]]), 6)
+        with pytest.raises(NotInvertible, match=r"^det is 3 mod 30030, need 1$"):
+            solve_mod(IntMatrix([[3, 0], [0, 1]]), (1, 1), 30030)
+
     def test_two_sided_inverse_mod_35(self):
         for seed in range(20):
             m = random_sl_matrix(3, 35, seed)
             inv = adjugate_mod(m, 35)
             assert matmul(m, inv).reduce_mod(35) == IntMatrix.identity(3)
             assert matmul(inv, m).reduce_mod(35) == IntMatrix.identity(3)
+
+
+MODULI = st.sampled_from([2, 3, 7, 101, 10**9 + 7, 4, 8, 9, 27, 1024, 6, 30, 30030])
+
+
+@st.composite
+def square_mod(draw, dense):
+    """(n, q, rows): a square matrix of residues; dense draws entries
+    uniformly, otherwise from {0, 1, q - 1, q/p} so columns without a unit and
+    matrices singular mod q are common."""
+    n = draw(st.integers(1, 8))
+    q = draw(MODULI)
+    if dense:
+        entry = st.integers(0, q - 1)
+    else:
+        entry = st.sampled_from(sorted({0, 1, q - 1} | {q // p for p in (2, 3, 5, 7, 11, 13) if q % p == 0}))
+    return n, q, [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+class TestEliminateMod:
+    """The one elimination over Z/qZ behind adjugate_mod and solve_mod."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(square_mod(True), square_mod(False)))
+    def test_det_and_inverse(self, case):
+        n, q, rows = case
+        d = det(IntMatrix(rows)) % q
+        # its determinant mod q is the exact one: named in NotInvertible unless it is 1
+        if d != 1 % q:
+            for call in (
+                lambda: adjugate_mod(IntMatrix(rows), q),
+                lambda: solve_mod(IntMatrix(rows), (0,) * n, q),
+            ):
+                with pytest.raises(NotInvertible, match=rf"^det is {d} mod {q}, need 1$"):
+                    call()
+        if math.gcd(d, q) != 1:
+            return
+        # a unit determinant: scale the first row to det = 1 mod q
+        rows[0] = [x * pow(d, -1, q) % q for x in rows[0]]
+        m = IntMatrix(rows)
+        inv = adjugate_mod(m, q)
+        assert all(0 <= e < q for row in inv.rows for e in row)
+        assert matmul(m, inv).reduce_mod(q) == IntMatrix.identity(n).reduce_mod(q)
+        w = tuple(range(1, n + 1))
+        alpha = solve_mod(m, w, q)
+        assert all(0 <= e < q for e in alpha)
+        assert all(sum(alpha[i] * rows[i][j] for i in range(n)) % q == w[j] % q for j in range(n))
 
 
 class TestMaximalMinors:
@@ -189,18 +251,31 @@ class TestSolveMod:
 
 class TestSizeReduce:
     def test_examples(self):
-        assert size_reduce((0, 1), IntMatrix([[1, 0]])) == (0, 1)
-        assert size_reduce((7, 0), IntMatrix([[1, 0]])) == (0, 0)
-        assert size_reduce((100, 201), IntMatrix([[1, 2]])) == (0, 1)
+        def reduce(v, rows):
+            b = IntMatrix(rows)
+            return size_reduce(v, b, maximal_minors(b))
+
+        assert reduce((0, 1), [[1, 0]]) == (0, 1)
+        assert reduce((7, 0), [[1, 0]]) == (0, 0)
+        assert reduce((100, 201), [[1, 2]]) == (0, 1)
         # exact half-integer coefficients round toward +inf
-        assert size_reduce((1, 0), IntMatrix([[2, 0]])) == (-1, 0)
-        assert size_reduce((-1, 0), IntMatrix([[2, 0]])) == (-1, 0)
-        assert size_reduce((3, 0, 5), IntMatrix([[2, 0, 0], [0, 0, 2]])) == (-1, 0, -1)
-        assert size_reduce((-3, 0, -5), IntMatrix([[2, 0, 0], [0, 0, 2]])) == (-1, 0, -1)
+        assert reduce((1, 0), [[2, 0]]) == (-1, 0)
+        assert reduce((-1, 0), [[2, 0]]) == (-1, 0)
+        assert reduce((3, 0, 5), [[2, 0, 0], [0, 0, 2]]) == (-1, 0, -1)
+        assert reduce((-3, 0, -5), [[2, 0, 0], [0, 0, 2]]) == (-1, 0, -1)
+        # the solve borrows column j = 0, where c_j = -2 < 0: the same ties
+        assert reduce((5, 3), [[0, 2]]) == (5, -1)
+        assert reduce((5, -1), [[0, 2]]) == (5, -1)
 
     def test_dependent_rows(self):
+        b = IntMatrix([[1, 2, 3], [2, 4, 6]])
         with pytest.raises(DependentRows):
-            size_reduce((1, 2, 3), IntMatrix([[1, 2, 3], [2, 4, 6]]))
+            size_reduce((1, 2, 3), b, maximal_minors(b))
+
+    def test_bad_shape(self):
+        b = IntMatrix([[1, 0, 0]])
+        with pytest.raises(BadShape):
+            size_reduce((1, 2, 3), b, (0, 0, 1))
 
     def test_stays_in_coset(self):
         rng = random.Random(41)
@@ -211,7 +286,7 @@ class TestSizeReduce:
             if all(x == 0 for x in c):
                 continue  # dependent rows
             v = [rng.randrange(-500, 501) for _ in range(n)]
-            w = size_reduce(v, b)
+            w = size_reduce(v, b, c)
             # v - w must be an integer combination of the rows of b
             diff = [x - y for x, y in zip(v, w)]
             g = [[sum(r1[j] * r2[j] for j in range(n)) for r2 in b.rows] for r1 in b.rows]
@@ -223,21 +298,22 @@ class TestSizeReduce:
 
     def test_matches_fraction_reference(self):
         rng = random.Random(43)
-        for n in range(2, 9):
+        for n in range(2, 17):
             for bound in (3, 10**6, 10**12):
-                for _ in range(6):
+                for _ in range(6 if n <= 8 else 2):
                     b = rand_matrix(rng, n - 1, n, bound)
-                    if all(x == 0 for x in maximal_minors(b)):
+                    c = maximal_minors(b)
+                    if all(x == 0 for x in c):
                         continue  # dependent rows
                     v = [rng.randrange(-bound, bound + 1) for _ in range(n)]
-                    assert size_reduce(v, b) == size_reduce_fractions(v, b)
+                    assert size_reduce(v, b, c) == size_reduce_fractions(v, b)
                     # a lattice point plus half a row of 2B is an exact tie
                     ks = [rng.randrange(-bound, bound + 1) for _ in range(n - 1)]
                     tie = list(b.rows[rng.randrange(n - 1)])
                     for k, r in zip(ks, b.rows):
                         tie = [x + 2 * k * y for x, y in zip(tie, r)]
                     b2 = IntMatrix([[2 * x for x in r] for r in b.rows])
-                    assert size_reduce(tie, b2) == size_reduce_fractions(tie, b2)
+                    assert size_reduce(tie, b2, maximal_minors(b2)) == size_reduce_fractions(tie, b2)
 
 
 class TestNormReport:

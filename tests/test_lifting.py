@@ -259,6 +259,14 @@ class TestLift:
             assert cert.first_rows_max == top.max_norm()
             assert cert.last_row_max == max(abs(e) for e in cert.gamma.rows[n - 1])
 
+    def test_n32_large_prime(self):
+        q = 10**9 + 7
+        x = random_sl_matrix(32, q, 5)
+        cert = lift(x, q, seed=0)
+        assert det(cert.gamma) == 1
+        assert cert.gamma.reduce_mod(q) == x.reduce_mod(q)
+        assert cert.first_rows_max < q
+
     def test_determinism(self):
         x = random_sl_matrix(3, 101, 77)
         a = lift(x, 101, seed=5)
