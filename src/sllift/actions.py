@@ -7,8 +7,10 @@ matrices shell by shell (exact max norm m = 1, 2, ...), each shell built
 once per process by oracle.iter_shell in iter_sl order, so the first hit is
 the minimum, and classify each image by lookup: a distance tests membership
 in the target's unit orbit, a profile maps every vector to its point through
-one dict built per call.  Norms are stored exactly; logarithms are
-presentation only.
+one dict built per call.  An image gamma * x is read row by row from a memo
+of <row, x> mod q kept for one scan: the matrices of a scan share few
+distinct rows, so each dot product is taken once.  Norms are stored exactly;
+logarithms are presentation only.
 
 A profile walks one source per orbit of the signed permutation matrices P
 and counts its norms once per orbit member.  That is exact: gamma ->
@@ -96,8 +98,10 @@ def _shell(n: int, m: int) -> tuple:
     return tuple(iter_shell(n, m))
 
 
-def _apply(gamma, coords, q):
-    return tuple(sum(map(mul, row, coords)) % q for row in gamma)
+def _row_images(coords, q):
+    """row -> <row, coords> mod q, memoised for one scan: shells share rows,
+    so gamma * coords is tuple(map(image, gamma)) with each dot product once."""
+    return cache(lambda row: sum(map(mul, row, coords)) % q)
 
 
 def _shells(n: int, t_max: int):
@@ -113,8 +117,9 @@ def _dist(x, y, t_max, targets) -> DistanceRecord:
     """First hit of gamma * x in targets, the coordinates of y's class."""
     if x.q != y.q or len(x.coords) != len(y.coords):
         raise InvalidInput("points live in different spaces")
+    image = _row_images(x.coords, x.q)
     for m, gamma in _shells(len(x.coords), t_max):
-        if _apply(gamma, x.coords, x.q) in targets:
+        if tuple(map(image, gamma)) in targets:
             return DistanceRecord(x.coords, y.coords, x.q, m, gamma, t_max, _exponent(m, x.q))
     return DistanceRecord(x.coords, y.coords, x.q, None, None, t_max, None)
 
@@ -162,11 +167,12 @@ def _all_distances(space: str, n: int, q: int, t_max: int):
     for src in points:
         if src in walked:
             continue
-        orbit = {point_of[_apply(p, src, q)] for p in symmetries}
+        image = _row_images(src, q)
+        orbit = {point_of[tuple(map(image, p))] for p in symmetries}
         walked |= orbit
         found: dict[tuple[int, ...], int] = {}
         for m, gamma in _shells(n, t_max):
-            found.setdefault(point_of[_apply(gamma, src, q)], m)
+            found.setdefault(point_of[tuple(map(image, gamma))], m)
             if len(found) == len(points):
                 break
         else:

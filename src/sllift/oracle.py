@@ -26,7 +26,8 @@ non-negative first rows are enumerated, each weighted by its orbit size.
 At n = 2 that reduction leaves closed forms, used instead of the walk:
 count_sl takes 4 + 16 times the coprime pairs in [1, t1] x [1, t2], summed
 by Moebius inversion; norm_count_table (t1 = t2) reads every threshold off
-one totient prefix (docs/decisions.md).
+one totient prefix, kept per process and grown by doubling
+(docs/decisions.md).
 
 At n >= 3 a count needs only how many last rows complete each c, so
 count_sl sums weight * H(c), with H(c) the number of last rows v in the
@@ -35,7 +36,11 @@ row's box is invariant under signed permutations of its entries, so H is
 keyed by sorted |c|.  norm_count_table at n >= 3 is one such count per
 threshold.  The walk stays the reference the tests compare counts against.
 
-A norm shell (max norm exactly m, q = 0) is the cap-m walk cut down per
+A norm shell (max norm exactly m, q = 0) at n = 2 is built from its face,
+the primitive rows with an entry +-m: each is a first row completed by any
+second row in the box, or a second row under a first row strictly inside
+it, two _solve2 calls per face row, and the shell is sorted into iter_sl
+order (docs/decisions.md).  At n >= 3 it is the cap-m walk cut down per
 fixed part: one with an entry +-m keeps every solved pair, any other keeps
 only the pairs with u or v = +-m, found by a divisibility check on each
 side of the square (iter_shell).
@@ -201,6 +206,9 @@ def _solve2(a: int, b: int, r: int, lad1: range, lad2: range, gcd=None):
 
 
 def _pairs(solution):
+    """The pairs of a _solve2 result, ascending; none for None."""
+    if not solution:
+        return ()
     grid, axes = solution
     return product(*axes) if grid else zip(*axes)
 
@@ -297,27 +305,41 @@ def _rim(a: int, b: int, r: int, m: int) -> list:
     return sorted(pairs)
 
 
+def _face2(m: int) -> list:
+    """The SL_2(Z) matrices of max norm exactly m, unordered.
+
+    A face row is primitive with an entry +-m.  Each matrix has one as its
+    first row, under any second row in the box, or else as its second row,
+    under a first row strictly inside the box: two _solve2 calls per face row.
+    """
+    box, inner = range(-m, m + 1), range(1 - m, m)
+    sides = [(s, v) for s in (-m, m) for v in box] + [(u, s) for u in inner for s in (-m, m)]
+    shell = []
+    for a, b in sides:
+        if math.gcd(a, b) != 1:
+            continue
+        shell += [((a, b), row) for row in _pairs(_solve2(-b, a, 1, box, box))]
+        shell += [(row, (a, b)) for row in _pairs(_solve2(b, -a, 1, inner, inner))]
+    return shell
+
+
 def _shell_walk(spec: EnumSpec):
-    """(rows, head, pairs) for every fixed part of _walk (q = 0, every cap m)
-    whose completions include one of max norm exactly m, in _walk's order,
-    with pairs the ascending completions that reach norm m: all of them when
-    the fixed part has an entry +-m, else only those on the rim (_rim)."""
-    n, m, lads = spec.n, spec.caps[0], _ladders(spec)
+    """(rows, head, pairs) for every fixed part of _walk (q = 0, n >= 3,
+    every cap m) whose completions include one of max norm exactly m, in
+    _walk's order, with pairs the ascending completions that reach norm m:
+    all of them when the fixed part has an entry +-m, else only those on the
+    rim (_rim)."""
+    m, lads = spec.caps[0], _ladders(spec)
     lad1, lad2 = lads[-1][-2:]
     heads = list(product(*lads[-1][:-2]))
-    if n == 2:
-        prefixes = (((r,), (-r[1], r[0])) for _, r in _first_rows(spec, lads))
-    else:
-        prefixes = ((rows, c) for _, rows, c in _cofactors(spec, lads))
-    for rows, c in prefixes:
+    for _, rows, c in _cofactors(spec, lads):
         a, b = c[-2], c[-1]
         face = any(m in row or -m in row for row in rows)
         gcd = ext_gcd(a, b) if face else None
         for head in heads:
             r = 1 - sum(map(mul, head, c))
             if face or m in head or -m in head:
-                solution = _solve2(a, b, r, lad1, lad2, gcd)
-                pairs = _pairs(solution) if solution else ()
+                pairs = _pairs(_solve2(a, b, r, lad1, lad2, gcd))
             else:
                 pairs = _rim(a, b, r, m)
             if pairs:
@@ -379,14 +401,17 @@ def iter_sl(spec: EnumSpec):
 def iter_shell(n: int, m: int):
     """Every SL_n(Z) matrix of max norm exactly m, in iter_sl order.
 
-    The cap-m walk keeps only what reaches norm m (_shell_walk), so the
-    shell is exactly iter_sl at cap m less iter_sl at cap m - 1.  The budget
-    is checked eagerly on the cap-m box, as iter_sl checks it.
+    The shell is exactly iter_sl at cap m less iter_sl at cap m - 1: at
+    n = 2 built from its face (_face2) and sorted, at n >= 3 the cap-m walk
+    keeping only what reaches norm m (_shell_walk).  The budget is checked
+    eagerly on the cap-m box, as iter_sl checks it.
     """
     spec = EnumSpec(n=n, caps=(m,) * n)
     _check_budget(spec)
     if n == 1:
         return iter([((1,),)] if m == 1 else [])
+    if n == 2:  # iter_sl order is the lexicographic order of the row tuples
+        return iter(sorted(_face2(m)))
     return (rows + (head + pair,) for rows, head, pairs in _shell_walk(spec) for pair in pairs)
 
 
@@ -435,13 +460,37 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
         low, t = t, min(2 * t, t_max)
 
 
+def _n2_sieve(t_max: int) -> list[int]:
+    """N_2(0), ..., N_2(t_max) (t_max >= 1), with N_2(T) = 32 (phi(1) + ... +
+    phi(T)) - 12: exact[k] = 32 phi(k), less 12 at k = 1, summed."""
+    exact = list(range(0, 32 * t_max + 1, 32))
+    for p in small_primes(t_max + 1):
+        exact[p::p] = [v - v // p for v in exact[p::p]]
+    exact[1] -= 12
+    return list(accumulate(exact))
+
+
+_n2_counts = [0]  # the longest totient prefix this process has sieved
+
+
+def _n2_prefix(t_max: int) -> list[int]:
+    """N_2(0..T) for some T >= t_max, kept per process.  A short prefix is
+    resieved to max(t_max, twice its top), so thresholds 1..T_max in any
+    order cost O(log T_max) sieves of O(T_max) entries in all."""
+    global _n2_counts
+    top = len(_n2_counts) - 1
+    if top < t_max:
+        _n2_counts = _n2_sieve(max(t_max, 2 * top))
+    return _n2_counts
+
+
 def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     """Rows (T, exact count within norm T, count / T^(n^2 - n)).
 
     The thresholds are budgeted once, at the largest (if > 0), before any
-    count.  At n = 2, one or many, they are then read off one totient prefix,
-    N_2(T) = 32 (phi(1) + ... + phi(T)) - 12; otherwise each distinct
-    threshold is one count_sl.
+    count.  At n = 2, one or many, they are then read off the process's one
+    totient prefix (_n2_prefix); otherwise each distinct threshold is one
+    count_sl.
     """
     t_list = [int(t) for t in t_list]
     if any(t < 0 for t in t_list):
@@ -450,12 +499,8 @@ def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     t_max = max(t_list, default=0)
     if t_max > 0:
         _check_budget(EnumSpec(n=n, caps=(t_max,) * n))
-    if n == 2 and t_max > 0:  # exact[k] = 32 phi(k), less 12 at k = 1
-        exact = list(range(0, 32 * t_max + 1, 32))
-        for p in small_primes(t_max + 1):
-            exact[p::p] = [v - v // p for v in exact[p::p]]
-        exact[1] -= 12
-        counts = list(accumulate(exact))
+    if n == 2:
+        counts = _n2_prefix(t_max)
     else:
         counts = {t: count_sl(EnumSpec(n=n, caps=(t,) * n)) if t else 0 for t in set(t_list)}
     return [(t, counts[t], counts[t] / t**exponent if t else None) for t in t_list]

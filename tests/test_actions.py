@@ -1,5 +1,6 @@
 import heapq
 import math
+import random
 from functools import cache
 from itertools import permutations, product
 
@@ -109,13 +110,13 @@ class TestIterShell:
             assert list(oracle.iter_shell(1, m)) == naive_shell(1, m) == []
 
     @pytest.mark.parametrize(
-        "n,m", [(2, m) for m in range(1, 16)] + [(3, m) for m in (1, 2, 3)]
+        "n,m", [(2, m) for m in range(1, 41)] + [(3, m) for m in (1, 2, 3)]
     )
     def test_matches_naive_shell(self, n, m):
         assert list(oracle.iter_shell(n, m)) == naive_shell(n, m)
 
     @settings(max_examples=10, deadline=None)
-    @given(st.integers(1, 10))
+    @given(st.integers(1, 25))
     def test_shells_merge_to_iter_sl(self, t):
         # each shell is in iter_sl order and the shells partition the box,
         # so merging them gives iter_sl at cap t, matrix for matrix
@@ -135,12 +136,14 @@ class TestIterShell:
         monkeypatch.setenv("SLLIFT_BUDGET", str(size))
         assert next(oracle.iter_shell(n, m))
 
-    def test_n2_solves_only_first_rows_on_the_face(self, monkeypatch):
-        # a first row below m leaves only the rim pairs, found without _solve2
+    def test_n2_solves_twice_per_face_row_and_never_walks_the_rim(self, monkeypatch):
+        # each primitive row with an entry +-m is solved once as the first
+        # row (any second row) and once as the second (first row inside)
         calls = []
         real = oracle._solve2
         monkeypatch.setattr(oracle, "_solve2", lambda *a: calls.append(a[:2]) or real(*a))
-        for m in range(1, 9):
+        monkeypatch.setattr(oracle, "_rim", lambda *a: pytest.fail("_rim called at n = 2"))
+        for m in range(1, 13):
             calls.clear()
             list(oracle.iter_shell(2, m))
             faces = [
@@ -148,7 +151,7 @@ class TestIterShell:
                 for r in product(range(-m, m + 1), repeat=2)
                 if math.gcd(*r) == 1 and m in map(abs, r)
             ]
-            assert calls == [(-r[1], r[0]) for r in faces]
+            assert sorted(calls) == sorted([(-b, a) for a, b in faces] + [(b, -a) for a, b in faces])
 
 
 class TestPoints:
@@ -251,6 +254,25 @@ class TestDistances:
         for x, y in product(projective_points(n, q), repeat=2):
             got = dist_projective(PointP(q, x), PointP(q, y), t_max)
             assert got == naive_distance(x, y, q, t_max, projective=True)
+
+    # the scans classify gamma * x from a per-scan memo of row images, which
+    # must leave every first hit, witness included, where the naive scan has it
+    @pytest.mark.parametrize("q", range(2, 31, 2))
+    def test_bad_pair_matches_naive_scan(self, q):
+        x, y = PointP(q, (1, 0)).coords, PointP(q, (1, q // 2)).coords
+        assert projective_bad_pair(q) == naive_distance(x, y, q, 8 * q, projective=True)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_pairs_match_naive_scan(self, seed):
+        rng = random.Random(seed)
+        for _ in range(4):
+            q = rng.randrange(2, 17)
+            x, y = (rng.choice(affine_points(2, q)) for _ in range(2))
+            got = dist_affine(PointA(q, x), PointA(q, y), 8 * q)
+            assert got == naive_distance(x, y, q, 8 * q, projective=False)
+            x, y = PointP(q, x).coords, PointP(q, y).coords
+            got = dist_projective(PointP(q, x), PointP(q, y), 8 * q)
+            assert got == naive_distance(x, y, q, 8 * q, projective=True)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -13,7 +13,7 @@ import sys
 import jsonschema
 import pytest
 
-from sllift import cli, lifting, records
+from sllift import cli, lifting, oracle, records
 from sllift.errors import NotExtendableModQ, SearchExhausted, SlliftError
 from sllift.intmat import IntMatrix, det
 
@@ -354,6 +354,19 @@ class TestSweeps:
         assert rows[0]["results"] == {"T": 1, "count": 20, "ratio": 20.0}
         for row in rows:
             jsonschema.validate(row, SCHEMA)
+
+    def test_n2_counts_sweep_reuses_one_prefix(self, capsys, monkeypatch):
+        # the prefix grows by doubling, so T = 1..512 sieves at most
+        # ceil(log2 512) + 1 times, and every point reads the known count
+        sieves = []
+        real = oracle._n2_sieve
+        monkeypatch.setattr(oracle, "_n2_counts", [0])
+        monkeypatch.setattr(oracle, "_n2_sieve", lambda t: sieves.append(t) or real(t))
+        code, out, _ = run(["sweep", "counts", "--n", "2", "--T", "1..512"], capsys)
+        assert code == 0
+        assert len(sieves) <= math.ceil(math.log2(512)) + 1
+        counts = [r["results"]["count"] for r in records_from(out)]
+        assert counts == [oracle.count_sl(oracle.EnumSpec(n=2, caps=(t, t))) for t in range(1, 513)]
 
     def test_each_record_times_its_own_point(self, capsys, monkeypatch):
         # a clock that advances 0.25 s per read: each point takes one step
