@@ -286,6 +286,8 @@ def _cmd_sweep(args) -> int:
     for flag, path in outputs:  # refuse before the sweep runs, not after
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise _UsageError(f"--{flag} {path} is not a file in an existing directory")
+    if len(outputs) == 2 and os.path.realpath(args.csv) == os.path.realpath(args.jsonl):
+        raise _UsageError(f"--csv and --jsonl name the same file {args.csv}")
     if args.kind == "skewed" and args.n != 2:
         raise _UsageError("skewed sweep supports n=2")
     all_records: list[dict] = []

@@ -1,8 +1,8 @@
 """Constructive lifting of SL_n(Z/qZ) elements to SL_n(Z).
 
 Pipeline: lift_rows lifts the first n-1 rows so they extend to SL_n(Z)
-(the first extendable candidate of one stream: the signed lift, random
-offsets, then a CRT-based fallback) and returns their maximal minors;
+(the first extendable candidate of one stream: the signed lift, then
+random offsets) and returns their maximal minors;
 complete_rows turns those into a short last row (extended gcd, then size
 reduction by one fraction-free solve built on the same minors); lift
 corrects that row mod q by coefficients from one elimination over Z/qZ.
@@ -20,14 +20,12 @@ from functools import reduce
 from . import intmat
 from .errors import InvalidInput, NotExtendable, NotExtendableModQ, SearchExhausted
 from .intmat import IntMatrix
-from .residue import crt, ext_gcd, signed, small_primes
+from .residue import ext_gcd, signed
 
 # Multiplier C in the entry bound C*log2(q+2) for the row-lift search.
 DEFAULT_GROWTH_C = 16
 
 _TRIES_PER_LEVEL = 16
-_FALLBACK_TRIES = 64
-_FALLBACK_CUTOFFS = (16, 64, 256)
 
 
 @dataclass(frozen=True)
@@ -55,38 +53,19 @@ def _row_candidates(base: list[list[int]], q: int, seed: int):
     First base itself: the common case needs no perturbation, and its minors
     are those of every lift mod q.  Then base + qX with X uniform in [0, M)
     for M = 2, 4, ... up to bound = DEFAULT_GROWTH_C * log2(q+2),
-    _TRIES_PER_LEVEL draws per level.  Then the deterministic fallback: for
-    each cutoff K, base shifted to the top of the identity modulo every
-    prime p < K not dividing q (which makes the leading minor a unit mod
-    those primes), plus step*Y with step = q * (product of those primes) and
-    Y uniform in [0, bound), _FALLBACK_TRIES draws each.
+    _TRIES_PER_LEVEL draws per level, so every candidate keeps
+    max|B| <= q/2 + q(bound - 1).
     """
     yield IntMatrix(base)
     rng = random.Random(seed)
     bound = max(2, math.ceil(DEFAULT_GROWTH_C * math.log2(q + 2)))
-
-    def draws(origin, step, width, tries):
-        for _ in range(tries):
-            yield IntMatrix([[x + step * rng.randrange(width) for x in row] for row in origin])
-
     level = 2
     while True:
-        yield from draws(base, q, level, _TRIES_PER_LEVEL)
+        for _ in range(_TRIES_PER_LEVEL):
+            yield IntMatrix([[x + q * rng.randrange(level) for x in row] for row in base])
         if level >= bound:
             break
         level = min(2 * level, bound)
-    for cutoff in _FALLBACK_CUTOFFS:
-        primes = [p for p in small_primes(cutoff) if q % p != 0]
-        if not primes:
-            continue
-        shifted = [
-            [
-                x + q * crt([((int(i == j) - x) * pow(q, -1, p) % p, p) for p in primes]).value
-                for j, x in enumerate(row)
-            ]
-            for i, row in enumerate(base)
-        ]
-        yield from draws(shifted, q * math.prod(primes), bound, _FALLBACK_TRIES)
 
 
 def lift_rows(a: IntMatrix, q: int, seed: int) -> tuple[IntMatrix, tuple[int, ...], int]:

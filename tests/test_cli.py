@@ -633,6 +633,18 @@ class TestNoTracebackEscapes:
         assert proc.stdout == ""
         assert proc.stderr == f"usage error: --jsonl {tmp_path} is not a file in an existing directory\n"
 
+    def test_csv_and_jsonl_at_one_file_are_refused_before_the_sweep(self, tmp_path, capsys):
+        # the second write would silently replace the first
+        (tmp_path / "sub").mkdir()
+        path = str(tmp_path / "out")
+        alias = str(tmp_path / "sub" / ".." / "out")
+        argv = ["sweep", "counts", "--n", "2", "--T", "1..3", "--csv", path, "--jsonl", alias]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: --csv and --jsonl name the same file {path}\n"
+        assert not os.path.exists(path)
+
     def test_failed_final_write_is_one_line(self, tmp_path, capsys, monkeypatch):
         def no_space(path, text):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)

@@ -18,7 +18,7 @@ from sllift.lifting import (
     lift_rows,
     random_sl_matrix,
 )
-from sllift.residue import crt, signed, small_primes
+from sllift.residue import signed
 
 
 class TestIsExtendable:
@@ -63,22 +63,10 @@ class TestLiftRows:
                     assert diff % q == 0
                     assert abs(diff) <= q * bound
 
-    def test_deterministic_fallback(self, monkeypatch):
-        # skip the random phase entirely; the CRT construction must cope alone
-        monkeypatch.setattr(lifting, "_TRIES_PER_LEVEL", 0)
-        a = IntMatrix([[3, 3]])  # signed lifts share the factor 3, coprime to 7
-        b, _, _ = lift_rows(a, 7, seed=0)
-        assert is_extendable(b)
-        assert all((x - y) % 7 == 0 for x, y in zip(b.rows[0], (3, 3)))
-
-        x = random_sl_matrix(3, 12, 5)
-        b, _, _ = lift_rows(IntMatrix(x.rows[:2]), 12, seed=0)
-        assert is_extendable(b)
-
 
 def reference_lift_rows(a, q, seed):
-    """The row search as three hand-written stages (zero offset, doubling
-    random levels, CRT fallback), kept to check the one-stream search."""
+    """The row search as two hand-written stages (zero offset, doubling
+    random levels), kept to check the one-stream search."""
     base = [[signed(x, q) for x in row] for row in a.rows]
     rows = len(base)
     cols = len(base[0])
@@ -112,33 +100,6 @@ def reference_lift_rows(a, q, seed):
             break
         level = min(2 * level, bound)
 
-    for cutoff in lifting._FALLBACK_CUTOFFS:
-        primes = [p for p in small_primes(cutoff) if q % p != 0]
-        if not primes:
-            continue
-        big_p = math.prod(primes)
-        shifted = []
-        for i in range(rows):
-            row = []
-            for j in range(cols):
-                target = 1 if i == j else 0
-                congruences = [
-                    ((target - base[i][j]) * pow(q, -1, p) % p, p) for p in primes
-                ]
-                row.append(base[i][j] + q * crt(congruences).value)
-            shifted.append(row)
-        step = big_p * q
-        for _ in range(lifting._FALLBACK_TRIES):
-            trials += 1
-            b = IntMatrix(
-                [
-                    [shifted[i][j] + step * rng.randrange(bound) for j in range(cols)]
-                    for i in range(rows)
-                ]
-            )
-            minors = accept(b)
-            if minors is not None:
-                return b, minors, trials
     raise SearchExhausted(f"no extendable row lift found for q={q} (trials={trials})")
 
 
@@ -154,14 +115,10 @@ DIFFERENTIAL_MODULI = (2, 3, 4, 7, 8, 12, 30, 101, 360, 1024, 9973, 30030, 10**9
 
 
 class TestRowSearchDifferential:
-    @pytest.mark.parametrize(
-        "tries_per_level, fallback_tries",
-        [(None, None), (0, 0), (0, 1), (1, 0), (1, 1)],
-    )
-    def test_matches_staged_reference(self, monkeypatch, tries_per_level, fallback_tries):
+    @pytest.mark.parametrize("tries_per_level", [None, 0, 1])
+    def test_matches_staged_reference(self, monkeypatch, tries_per_level):
         if tries_per_level is not None:
             monkeypatch.setattr(lifting, "_TRIES_PER_LEVEL", tries_per_level)
-            monkeypatch.setattr(lifting, "_FALLBACK_TRIES", fallback_tries)
         rng = random.Random(61)
         kinds = {"zero": 0, "search": 0, "mod_q": 0, "exhausted": 0}
         for n, q, _ in itertools.product(range(2, 6), DIFFERENTIAL_MODULI, range(3)):
@@ -183,10 +140,9 @@ class TestRowSearchDifferential:
                 else:
                     kinds["zero" if want[2] == 1 else "search"] += 1
         assert kinds["zero"] and kinds["mod_q"]
-        if tries_per_level == 0 and fallback_tries == 0:
+        if tries_per_level == 0:
             assert kinds["exhausted"]
         else:
-            # at _TRIES_PER_LEVEL = 0 these are all fallback draws
             assert kinds["search"]
 
 
