@@ -290,6 +290,8 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--csv and --jsonl name the same file {args.csv}")
     if args.kind == "skewed" and args.n != 2:
         raise _UsageError("skewed sweep supports n=2")
+    if args.kind == "lift-bounds" and args.n < 2:
+        raise _UsageError(f"lift-bounds sweep needs n >= 2, got {args.n}")
     all_records: list[dict] = []
     failures = 0
     points = 0
@@ -355,7 +357,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("kind", choices=sorted(_SWEEPS))
     p_sweep.add_argument("--q", help="modulus range 'a..b' or comma list")
     p_sweep.add_argument("--T", help="threshold range 'a..b' or comma list")
-    p_sweep.add_argument("--n", type=int, default=2)
+    p_sweep.add_argument("--n", type=_bounded("--n", "n", 1), default=2)
     # k <= 64: the exact roots target builds q^(k-1), and for q < 2^64 no
     # prime power lies below q^(1/k) once k >= 64
     p_sweep.add_argument("--k", type=_bounded("--k", "K", 1, 64), default=2)

@@ -44,11 +44,17 @@ order (docs/decisions.md).  At n >= 3 it is the cap-m walk cut down per
 fixed part: one with an entry +-m keeps every solved pair, any other keeps
 only the pairs with u or v = +-m, found by a divisibility check on each
 side of the square (iter_shell).
+
+A minimal lift norm doubles a cap from the least value every entry
+reaches, and walks each cap once for its least lift (_least_lift):
+primitive first rows come in increasing max norm, each is completed in
+ladders cut below the best lift found, and the walk stops at the first
+row whose norm reaches it.  So the first cap with a lift gives the exact
+minimum (docs/decisions.md).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -134,11 +140,14 @@ def candidate_count(spec: EnumSpec) -> int:
     return math.prod(map(_ladder_size, chain(*lads[:-1], lads[-1][:-2])))
 
 
-def _check_budget(spec: EnumSpec) -> None:
+def _check_size(size: int) -> None:
     limit = current_budget()
-    size = candidate_count(spec)
     if size > limit:
         raise BudgetExceeded(f"candidate space {size} exceeds budget {limit}")
+
+
+def _check_budget(spec: EnumSpec) -> None:
+    _check_size(candidate_count(spec))
 
 
 def _cofactor_map(prefix) -> tuple[tuple[int, ...], ...]:
@@ -266,11 +275,11 @@ def _completions(c, last):
             yield head, solution
 
 
-def _walk(spec: EnumSpec):
+def _walk(spec: EnumSpec, lads=None):
     """(rows, head, solution) for every fixed part with solutions, in
     lexicographic order: each pair of solution completes the matrix
-    rows + (head + pair,)."""
-    n, lads = spec.n, _ladders(spec)
+    rows + (head + pair,).  lads, if given, replaces _ladders(spec)."""
+    n, lads = spec.n, lads or _ladders(spec)
     last = lads[-1]
     if n == 1:
         if 1 in last[0]:
@@ -404,14 +413,16 @@ def iter_shell(n: int, m: int):
     The shell is exactly iter_sl at cap m less iter_sl at cap m - 1: at
     n = 2 built from its face (_face2) and sorted, at n >= 3 the cap-m walk
     keeping only what reaches norm m (_shell_walk).  The budget is checked
-    eagerly on the cap-m box, as iter_sl checks it.
+    eagerly on what the builder walks: at n = 2 its 8m face rows, otherwise
+    the cap-m box, as iter_sl checks it.
     """
     spec = EnumSpec(n=n, caps=(m,) * n)
+    if n == 2:  # iter_sl order is the lexicographic order of the row tuples
+        _check_size(8 * m)
+        return iter(sorted(_face2(m)))
     _check_budget(spec)
     if n == 1:
         return iter([((1,),)] if m == 1 else [])
-    if n == 2:  # iter_sl order is the lexicographic order of the row tuples
-        return iter(sorted(_face2(m)))
     return (rows + (head + pair,) for rows, head, pairs in _shell_walk(spec) for pair in pairs)
 
 
@@ -421,12 +432,77 @@ def exists_sl(spec: EnumSpec) -> bool:
     return next(_walk(spec), None) is not None
 
 
+def _levels(lads):
+    """(s, rows) pairs in increasing s: every row of the ladders lads is in
+    exactly one rows, whose s is its max norm.  The ladders' values are
+    taken in order of absolute value, and each brings the rows it
+    completes: itself beside the values taken before it."""
+    taken = [[] for _ in lads]
+    for s, j, v in sorted((abs(v), j, v) for j, lad in enumerate(lads) for v in lad):
+        axes = list(taken)  # product copies its axes, so later values stay out
+        axes[j] = (v,)
+        yield s, product(*axes)
+        taken[j].append(v)
+
+
+def _least_norm(solution) -> int:
+    """Least max norm of the pairs of a _solve2 result."""
+    return min(max(map(abs, pair)) for pair in _pairs(solution))
+
+
+def _cut(rows, cap: int):
+    """Each residue ladder of rows cut to [-cap, cap]."""
+    return [[_ladder(lad.start, lad.step, cap) for lad in row] for row in rows]
+
+
+def _least_lift(spec: EnumSpec) -> int | None:
+    """Least max norm of a matrix of iter_sl(spec), whose caps are all equal,
+    or None if there is none.
+
+    Primitive first rows come in increasing norm (_levels), and the walk
+    stops at the first level that reaches the best found.  The other rows
+    are walked in their ladders cut at min(cap, best - 1), and each fixed
+    part below best offers max(its norm, the least max norm of its
+    solutions), which is never below the level.  At n = 2 the fixed part is
+    the first row and its work one _solve2, as in _walk.
+    """
+    n, lads = spec.n, _ladders(spec)
+    best, rest = spec.caps[0] + 1, lads[1:]
+    for s, firsts in _levels(lads[0]):
+        if s >= best:
+            break
+        if n == 2:
+            lad1, lad2 = rest[0]
+            for a, b in firsts:
+                if math.gcd(a, b) == 1 and (solution := _solve2(-b, a, 1, lad1, lad2)):
+                    best = max(s, _least_norm(solution))  # below best, as the ladders are cut
+                    if best == s:
+                        return s
+                    rest = _cut(rest, best - 1)
+                    lad1, lad2 = rest[0]
+            continue
+        for first in firsts:
+            if math.gcd(*first) != 1:
+                continue
+            below = [[range(v, v + 1) for v in first]] + rest
+            for rows, head, solution in _walk(spec, below):
+                # a walk's ladders stay as cut when it began, so check against best
+                least = max(max(map(abs, chain(first, *rows, head))), _least_norm(solution))
+                if least < best:
+                    if least == s:
+                        return s
+                    best = least
+                    rest = _cut(rest, best - 1)
+    return best if best <= spec.caps[0] else None
+
+
 def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
     """Least T <= t_max admitting a lift of x mod q with max norm <= T.
 
-    T starts at the least value every entry's residue ladder reaches and
-    doubles until a lift appears; then it bisects over the achievable ladder
-    values in that last doubling window, so memory follows the answer, not
+    The cap T starts at the least value every entry's residue ladder
+    reaches and doubles until a lift appears.  Each cap is budgeted, then
+    walked once for its least lift norm (_least_lift), so the first cap
+    with a lift gives the exact answer and memory follows the answer, not
     t_max.  Returns None when no lift exists by t_max.
     """
     n = x.nrows
@@ -441,23 +517,16 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
     if intmat.det(x) % q != 1 % q:
         raise InvalidInput("x must have det = 1 mod q")
 
-    residues = {v % q for row in x.rows for v in row}
-    t = max(min(r, q - r) for r in residues)  # the least T every entry reaches
+    t = max(min(r % q, -r % q) for row in x.rows for r in row)  # the least T every entry reaches
     if t > t_max:
         return None
-
-    def exists(t: int) -> bool:
-        return exists_sl(EnumSpec(n=n, caps=(t,) * n, q=q, x=x.rows))
-
-    low = t - 1  # no lift has max norm <= low
     while True:
-        if exists(t):
-            # the last step has a lift as t does, so the bisection never probes it
-            steps = sorted({abs(v) for r in residues for v in _ladder(r, q, t) if abs(v) > low})
-            return steps[bisect.bisect_left(steps, True, hi=len(steps) - 1, key=exists)]
-        if t >= t_max:
-            return None
-        low, t = t, min(2 * t, t_max)
+        spec = EnumSpec(n=n, caps=(t,) * n, q=q, x=x.rows)
+        _check_budget(spec)
+        least = _least_lift(spec)
+        if least is not None or t >= t_max:
+            return least
+        t = min(2 * t, t_max)
 
 
 def _n2_sieve(t_max: int) -> list[int]:

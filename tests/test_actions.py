@@ -2,7 +2,7 @@ import heapq
 import math
 import random
 from functools import cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -123,7 +123,7 @@ class TestIterShell:
         shells = [oracle.iter_shell(2, m) for m in range(1, t + 1)]
         assert list(heapq.merge(*shells)) == list(iter_sl(EnumSpec(n=2, caps=(t, t))))
 
-    @pytest.mark.parametrize("n,m", [(2, 5), (3, 2)])
+    @pytest.mark.parametrize("n,m", [(3, 1), (3, 2)])
     def test_budget_raises_before_first_yield_as_iter_sl(self, monkeypatch, n, m):
         spec = EnumSpec(n=n, caps=(m,) * n)
         size = oracle.candidate_count(spec)
@@ -135,6 +135,23 @@ class TestIterShell:
         assert str(by_shell.value) == str(by_sl.value)
         monkeypatch.setenv("SLLIFT_BUDGET", str(size))
         assert next(oracle.iter_shell(n, m))
+
+    @pytest.mark.parametrize("m", [1, 5, 10])
+    def test_n2_budget_meters_the_face_rows(self, monkeypatch, m):
+        # the builder walks 8m face rows, not the (2m + 1)^2 box of iter_sl
+        monkeypatch.setenv("SLLIFT_BUDGET", str(8 * m - 1))
+        with pytest.raises(BudgetExceeded) as exc:
+            oracle.iter_shell(2, m)
+        assert str(exc.value) == f"candidate space {8 * m} exceeds budget {8 * m - 1}"
+        monkeypatch.setenv("SLLIFT_BUDGET", str(8 * m))
+        assert next(oracle.iter_shell(2, m))
+
+    def test_n2_shell_past_the_box_budget_builds(self):
+        # (2 * 15811 + 1)^2 > 10^9, the default budget
+        m = 15811
+        shell = list(oracle.iter_shell(2, m))
+        assert len(shell) == 32 * sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+        assert all(max(map(abs, chain(*g))) == m for g in shell[::97])
 
     def test_n2_solves_twice_per_face_row_and_never_walks_the_rim(self, monkeypatch):
         # each primitive row with an entry +-m is solved once as the first

@@ -514,11 +514,25 @@ class TestSweeps:
 
     def test_diameter_sweep_n_below_one_is_flagged(self, capsys):
         code, out, err = run(["sweep", "diameter", "--space", "A", "--n", "0", "--q", "2"], capsys)
-        assert code == 3
-        assert err == ""
-        (row,) = records_from(out)
-        jsonschema.validate(row, SCHEMA)
-        assert row["results"] == {"error": "need n >= 1, got 0", "flagged": True}
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: --n needs n >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["counts", "--T", "1"], ["roots", "--q", "5"], ["diameter", "--q", "3"], ["lift-bounds", "--q", "3"]],
+    )
+    def test_sweep_n_below_one_is_usage_error(self, capsys, argv):
+        code, out, err = run(["sweep", *argv, "--n", "0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: --n needs n >= 1, got 0\n"
+
+    def test_lift_bounds_sweep_n_one_is_usage_error(self, capsys):
+        code, out, err = run(["sweep", "lift-bounds", "--n", "1", "--q", "3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: lift-bounds sweep needs n >= 2, got 1\n"
 
     def test_diameter_t_max_is_8q_and_not_a_flag(self, capsys):
         code, out, _ = run(["sweep", "diameter", "--n", "2", "--q", "3,5"], capsys)

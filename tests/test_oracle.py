@@ -49,41 +49,42 @@ def brute_force(spec):
     return out
 
 
-def full_range_schedule(x, q, t_max, exists):
-    """(answer, probed T) of the doubling-then-bisection schedule, with the
-    bisection run over every achievable ladder value up to t_max."""
-    achievable, t_low = set(), 0
-    for row in x.rows:
-        for v in row:
-            values = {abs(w) for w in range(-t_max + (v + t_max) % q, t_max + 1, q)}
-            if not values:
-                return None, []
-            achievable |= values
-            t_low = max(t_low, min(values))
-    steps = sorted(v for v in achievable if v >= max(t_low, 1))
-    probes = []
+def bisection_reference(x, q, t_max):
+    """min_lift_norm by its earlier schedule: double T from the least value
+    every entry reaches until exists_sl finds a lift, then bisect with
+    exists_sl over the achievable ladder values of that last doubling window."""
+    n = x.nrows
+    residues = {v % q for row in x.rows for v in row}
+    t = max(min(r, q - r) for r in residues)
+    if t > t_max:
+        return None
 
-    def probe(t):
-        probes.append(t)
-        return exists(t)
+    def exists(t):
+        return exists_sl(EnumSpec(n=n, caps=(t,) * n, q=q, x=x.rows))
 
-    t = steps[0]
-    if probe(t):
-        return t, probes
-    while t < t_max:
-        t_next = min(2 * t, t_max)
-        if probe(t_next):
-            window = [v for v in steps if t < v <= t_next]
-            lo, hi = 0, len(window) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if probe(window[mid]):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return window[lo], probes
-        t = t_next
-    return None, probes
+    low = t - 1  # no lift has max norm <= low
+    while not exists(t):
+        if t >= t_max:
+            return None
+        low, t = t, min(2 * t, t_max)
+    steps = sorted({abs(v) for r in residues for v in oracle._ladder(r, q, t) if abs(v) > low})
+    lo, hi = 0, len(steps) - 1  # the last step has a lift, as t does
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if exists(steps[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return steps[lo]
+
+
+def search_classes():
+    """The search benchmark's min_lift classes: hard instances and the trace family."""
+    classes = [(hard_instance(q, 2).x, q, 4 * q * q) for q in range(8, 61)]
+    for m in (1, 2, 3, 4):
+        inst = trace_family_instance(m)
+        classes.append((inst.x, inst.q, 2 * inst.q**2))
+    return classes
 
 
 class TestEnumSpec:
@@ -271,52 +272,103 @@ class TestMinLiftNorm:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_probes_match_full_range_schedule(self, monkeypatch):
-        # the search benchmark's classes: hard instances and the trace family
-        classes = [(hard_instance(q, 2).x, q, 4 * q * q) for q in range(8, 61)]
-        for m in (1, 2, 3, 4):
-            inst = trace_family_instance(m)
-            classes.append((inst.x, inst.q, 2 * inst.q**2))
-        probes = []
+    def test_matches_bisection_on_search_classes(self):
+        for x, q, t_max in search_classes():
+            assert min_lift_norm(x, q, t_max) == bisection_reference(x, q, t_max), q
 
-        def counting_exists(spec):
-            probes.append(spec.caps[0])
-            return exists_sl(spec)
+    def test_matches_bisection_on_every_small_n2_class(self):
+        for q in range(2, 8):
+            for a, b, c, d in itertools.product(range(q), repeat=4):
+                if (a * d - b * c) % q == 1 % q:
+                    x = IntMatrix([[a, b], [c, d]])
+                    for t_max in (q, q * q):
+                        assert min_lift_norm(x, q, t_max) == bisection_reference(x, q, t_max), (x, q, t_max)
 
-        monkeypatch.setattr(oracle, "exists_sl", counting_exists)
-        for x, q, t_max in classes:
-            probes.clear()
-            got = min_lift_norm(x, q, t_max)
-            n = x.nrows
-            expected = full_range_schedule(
-                x, q, t_max, lambda t: exists_sl(EnumSpec(n=n, caps=(t,) * n, q=q, x=x.rows))
-            )
-            assert (got, probes) == expected, q
+    def test_matches_bisection_on_seeded_n2_classes(self):
+        rng = random.Random(19)
+        for _ in range(120):
+            q = rng.randrange(8, 41)
+            x = random_sl_matrix(2, q, rng.randrange(2**30))
+            assert min_lift_norm(x, q, 4 * q * q) == bisection_reference(x, q, 4 * q * q), (x, q)
+
+    def test_matches_bisection_on_seeded_n3_classes(self):
+        rng = random.Random(23)
+        for q in (2, 3, 4):
+            for _ in range(40):
+                x = random_sl_matrix(3, q, rng.randrange(2**30))
+                t_max = rng.choice([1, 2, 4, 8])
+                assert min_lift_norm(x, q, t_max) == bisection_reference(x, q, t_max), (x, q, t_max)
 
     @pytest.mark.parametrize(
-        "rows, q, t_max, answer, probes",
+        "rows, q, t_max",
         [
-            # trace family m = 1, 2, 3 at t_max = 2 q^2
-            (((5, 0), (0, 5)), 8, 128, 13, [3, 6, 12, 24, 19, 16, 13]),
-            (((9, 0), (0, 9)), 16, 512, 41, [7, 14, 28, 56, 41, 39]),
-            (((13, 0), (0, 13)), 24, 1152, 85, [11, 22, 44, 88, 61, 83]),
-            # random n = 2 classes at t_max = 4 q^2
-            (((1, 5), (3, 2)), 7, 196, 5, [3, 6, 5, 4]),
-            (((2, 9), (9, 11)), 12, 576, 10, [3, 6, 12, 10, 9]),
-            (((3, 4), (11, 3)), 12, 576, 8, [4, 8]),
-            (((1, 14), (11, 15)), 20, 1600, 26, [9, 18, 36, 26, 21, 25]),
+            # n = 2: the least lift's second row reaches best - 1 for an
+            # earlier best, so the ladders must be cut at best - 1, no lower
+            (((19, 10), (5, 6)), 21, 1764),
+            (((25, 0), (24, 13)), 27, 2916),
+            (((2, 0), (32, 18)), 35, 4900),
+            # n = 3: a walk under one first row keeps the ladders it began
+            # with, so a later offer may not improve best
+            (((0, 3, 0), (2, 0, 1), (3, 0, 2)), 4, 8),
+            (((1, 0, 0), (1, 2, 3), (0, 1, 2)), 4, 4),
+            (((2, 3, 0), (4, 1, 4), (0, 3, 4)), 5, 8),
+            (((2, 0, 2), (1, 3, 2), (4, 4, 3)), 5, 4),
         ],
     )
-    def test_probe_sequence_is_pinned(self, monkeypatch, rows, q, t_max, answer, probes):
+    def test_matches_bisection_where_best_falls_by_one(self, rows, q, t_max):
+        x = IntMatrix(rows)
+        assert min_lift_norm(x, q, t_max) == bisection_reference(x, q, t_max)
+
+    def test_n1_has_the_one_lift(self):
+        assert min_lift_norm(IntMatrix([[1]]), 5, 3) == 1
+        assert min_lift_norm(IntMatrix([[6]]), 5, 1) == 1
+
+    def test_budget_refuses_the_inputs_the_bisection_refused(self, monkeypatch):
+        # only a doubling cap can be the first to pass the budget, and both
+        # schedules budget the same doubling caps with the same message
+        x = IntMatrix([[5, 0], [0, 5]])
+        for budget in range(0, 60):
+            monkeypatch.setenv("SLLIFT_BUDGET", str(budget))
+            outcomes = []
+            for run in (min_lift_norm, bisection_reference):
+                try:
+                    outcomes.append(run(x, 8, 128))
+                except BudgetExceeded as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], budget
+
+    def test_half_the_solves_of_the_bisection_on_search_classes(self, monkeypatch):
+        # the probe schedule made 14,901 _solve2 calls on these classes
+        calls = []
+        real = oracle._solve2
+        monkeypatch.setattr(oracle, "_solve2", lambda *a: calls.append(a) or real(*a))
+        for x, q, t_max in search_classes():
+            min_lift_norm(x, q, t_max)
+        assert len(calls) <= 7450
+
+    @pytest.mark.parametrize(
+        "rows, q, t_max, answer, caps",
+        [
+            # trace family m = 1, 2, 3 at t_max = 2 q^2
+            (((5, 0), (0, 5)), 8, 128, 13, [3, 6, 12, 24]),
+            (((9, 0), (0, 9)), 16, 512, 41, [7, 14, 28, 56]),
+            (((13, 0), (0, 13)), 24, 1152, 85, [11, 22, 44, 88]),
+            # random n = 2 classes at t_max = 4 q^2
+            (((1, 5), (3, 2)), 7, 196, 5, [3, 6]),
+            (((2, 9), (9, 11)), 12, 576, 10, [3, 6, 12]),
+            (((3, 4), (11, 3)), 12, 576, 8, [4, 8]),
+            (((1, 14), (11, 15)), 20, 1600, 26, [9, 18, 36]),
+            # no lift by t_max: every doubling cap, the last one clipped to t_max
+            (((5, 0), (0, 5)), 8, 12, None, [3, 6, 12]),
+        ],
+    )
+    def test_answer_and_budgeted_caps_are_pinned(self, monkeypatch, rows, q, t_max, answer, caps):
         seen = []
-
-        def spy(spec):
-            seen.append(spec.caps[0])
-            return exists_sl(spec)
-
-        monkeypatch.setattr(oracle, "exists_sl", spy)
+        real = oracle._check_budget
+        monkeypatch.setattr(oracle, "_check_budget", lambda spec: seen.append(spec.caps) or real(spec))
+        monkeypatch.setattr(oracle, "exists_sl", lambda spec: pytest.fail("exists_sl called"))
         assert min_lift_norm(IntMatrix(rows), q, t_max) == answer
-        assert seen == probes
+        assert seen == [(t, t) for t in caps]
 
 
 # N_3(T) for T = 0..6, cross-checked between the kernel walk and an
