@@ -4,13 +4,16 @@ Points are primitive vectors mod q (affine) or their unit-scaling classes
 (projective); the distance between two points is the smallest max norm of an
 integer unimodular matrix carrying one to the other.  All scans walk the
 matrices shell by shell (exact max norm m = 1, 2, ...), each shell built
-once per process by oracle.iter_shell in iter_sl order, so the first hit is
-the minimum, and classify each image by lookup: a distance tests membership
-in the target's unit orbit, a profile maps every vector to its point through
-one dict built per call.  An image gamma * x is read row by row from a memo
-of <row, x> mod q kept for one scan: the matrices of a scan share few
-distinct rows, so each dot product is taken once.  Norms are stored exactly;
-logarithms are presentation only.
+once per process by oracle.iter_shell in iter_sl order and stored by row
+position, so the first hit is the minimum.  A shell is classified in one
+pass of C-level iterators: the images gamma * x are zipped from one map per
+row position over a memo of <row, x> mod q kept for one scan (the matrices
+of a scan share few distinct rows, so each dot product is taken once).  A
+distance takes the index of the first image in the target's unit orbit and
+rebuilds its witness from it; a profile maps the images to points through
+one dict built per call, in blocks of one image per point, and keeps the
+new points of each block.  Norms are stored exactly; logarithms are
+presentation only.
 
 A profile walks one source per orbit of the signed permutation matrices P
 and counts its norms once per orbit member.  That is exact: gamma ->
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import compress, count, islice, permutations, product
 from operator import mul
 
 from .errors import BudgetExceeded, InvalidInput
@@ -92,21 +95,29 @@ class DistanceRecord:
 
 @cache
 def _shell(n: int, m: int) -> tuple:
-    """All SL_n(Z) matrices with max norm exactly m, in iter_sl order.
+    """All SL_n(Z) matrices with max norm exactly m, in iter_sl order, stored
+    by row position: entry k holds row k of every matrix.
 
     Kept per process: every scan walks the shells from m = 1 again."""
-    return tuple(iter_shell(n, m))
+    return tuple(zip(*iter_shell(n, m)))
 
 
-def _row_images(coords, q):
-    """row -> <row, coords> mod q, memoised for one scan: shells share rows,
-    so gamma * coords is tuple(map(image, gamma)) with each dot product once."""
-    return cache(lambda row: sum(map(mul, row, coords)) % q)
+class _RowImages(dict):
+    """row -> <row, coords> mod q, each taken on first lookup and kept for one
+    scan: shells share rows, so every distinct row costs one dot product."""
+
+    def __init__(self, coords, q):
+        self.coords, self.q = coords, q
+
+    def __missing__(self, row):
+        image = self[row] = sum(map(mul, row, self.coords)) % self.q
+        return image
 
 
-def _shells(n: int, t_max: int):
-    """(m, gamma) over the shells m = 1..t_max, so first hits have least norm."""
-    return ((m, gamma) for m in range(1, t_max + 1) for gamma in _shell(n, m))
+def _images(images: _RowImages, shell):
+    """gamma * coords for every gamma of a by-row shell (_shell), in shell
+    order, each a tuple read from the memo images."""
+    return zip(*[map(images.__getitem__, rows) for rows in shell])
 
 
 def _exponent(v: int, q: int) -> float:
@@ -117,10 +128,13 @@ def _dist(x, y, t_max, targets) -> DistanceRecord:
     """First hit of gamma * x in targets, the coordinates of y's class."""
     if x.q != y.q or len(x.coords) != len(y.coords):
         raise InvalidInput("points live in different spaces")
-    image = _row_images(x.coords, x.q)
-    for m, gamma in _shells(len(x.coords), t_max):
-        if tuple(map(image, gamma)) in targets:
-            return DistanceRecord(x.coords, y.coords, x.q, m, gamma, t_max, _exponent(m, x.q))
+    images = _RowImages(x.coords, x.q)
+    for m in range(1, t_max + 1):
+        shell = _shell(len(x.coords), m)
+        hit = next(compress(count(), map(targets.__contains__, _images(images, shell))), None)
+        if hit is not None:
+            witness = tuple(rows[hit] for rows in shell)
+            return DistanceRecord(x.coords, y.coords, x.q, m, witness, t_max, _exponent(m, x.q))
     return DistanceRecord(x.coords, y.coords, x.q, None, None, t_max, None)
 
 
@@ -153,6 +167,22 @@ def _signed_permutations(n: int) -> list[tuple[tuple[int, ...], ...]]:
     ]
 
 
+def _first_norms(images: _RowImages, point_of: dict, size: int, n: int, t_max: int) -> dict:
+    """point -> least m whose shell carries the scan's source to it, over the
+    shells m = 1..t_max.  Each shell is classified in blocks of size images
+    (size = the number of points), and the walk stops after the first block
+    that completes the points: a point's norm is that of the first shell
+    that reaches it, so stopping anywhere after that changes nothing."""
+    found: dict[tuple[int, ...], int] = {}
+    for m in range(1, t_max + 1):
+        reached = map(point_of.__getitem__, _images(images, _shell(n, m)))
+        while block := set(islice(reached, size)):
+            found.update(dict.fromkeys(block.difference(found), m))
+            if len(found) == size:
+                return found
+    return found
+
+
 def _all_distances(space: str, n: int, q: int, t_max: int):
     """The points, and the multiset of min norms over all ordered pairs.
 
@@ -167,15 +197,11 @@ def _all_distances(space: str, n: int, q: int, t_max: int):
     for src in points:
         if src in walked:
             continue
-        image = _row_images(src, q)
-        orbit = {point_of[tuple(map(image, p))] for p in symmetries}
+        images = _RowImages(src, q)
+        orbit = {point_of[tuple(map(images.__getitem__, p))] for p in symmetries}
         walked |= orbit
-        found: dict[tuple[int, ...], int] = {}
-        for m, gamma in _shells(n, t_max):
-            found.setdefault(point_of[tuple(map(image, gamma))], m)
-            if len(found) == len(points):
-                break
-        else:
+        found = _first_norms(images, point_of, len(points), n, t_max)
+        if len(found) < len(points):
             missing = next(p for p in points if p not in found)
             raise BudgetExceeded(f"pair ({src}, {missing}) unresolved within norm {t_max}")
         norms.extend(list(found.values()) * len(orbit))

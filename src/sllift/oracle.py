@@ -133,11 +133,16 @@ def _ladder_size(lad: range) -> int:
     return max(0, (lad.stop - lad.start + lad.step - 1) // lad.step)
 
 
-def candidate_count(spec: EnumSpec) -> int:
-    """Number of fixed parts the kernel walks: the product of the ladder
-    sizes of every entry except the last two of the last row, which it solves."""
-    lads = _ladders(spec)
+def _fixed_parts(lads) -> int:
+    """Number of fixed parts the kernel walks in the ladders lads: the product
+    of the ladder sizes of every entry except the last two of the last row,
+    which it solves."""
     return math.prod(map(_ladder_size, chain(*lads[:-1], lads[-1][:-2])))
+
+
+def candidate_count(spec: EnumSpec) -> int:
+    """Number of fixed parts the kernel walks for spec (_fixed_parts)."""
+    return _fixed_parts(_ladders(spec))
 
 
 def _check_size(size: int) -> None:
@@ -235,25 +240,25 @@ def _orbit_size(row) -> int:
     return size
 
 
-def _first_rows(spec: EnumSpec, lads, weighted: bool = False):
+def _first_rows(lads, weighted: bool = False):
     """(weight, row) for every primitive first row, in lexicographic order
     with weight 1, unless weighted (q = 0 only): then over orbit
     representatives, weighted by orbit size.  A generator, so a walk that
     stops at its first hit builds no more rows than it reads."""
-    if weighted:
-        firsts = combinations_with_replacement(range(spec.caps[0] + 1), spec.n)
+    if weighted:  # the first row's ladders are range(-cap, cap + 1)
+        firsts = combinations_with_replacement(range(lads[0][0].stop), len(lads))
         return ((_orbit_size(f), f) for f in firsts if math.gcd(*f) == 1)
     return ((1, f) for f in product(*lads[0]) if math.gcd(*f) == 1)
 
 
-def _cofactors(spec: EnumSpec, lads, weighted: bool = False):
-    """(weight, rows, c) for the first n - 1 rows of every walked matrix
-    (n >= 3, lads = _ladders(spec)), with c their cofactor vector:
+def _cofactors(lads, weighted: bool = False):
+    """(weight, rows, c) for the first n - 1 rows of every matrix walked in
+    the ladders lads (n >= 3), with c their cofactor vector:
     det(rows + (v,)) = <v, c>.  The first row runs over _first_rows."""
-    n = spec.n
+    n = len(lads)
     middle = [list(product(*lads[i])) for i in range(1, n - 2)]
     lasts = list(product(*lads[n - 2]))
-    for weight, first in _first_rows(spec, lads, weighted):
+    for weight, first in _first_rows(lads, weighted):
         for rest in product(*middle):
             prefix = (first,) + rest
             k = _cofactor_map(prefix)
@@ -275,24 +280,23 @@ def _completions(c, last):
             yield head, solution
 
 
-def _walk(spec: EnumSpec, lads=None):
-    """(rows, head, solution) for every fixed part with solutions, in
-    lexicographic order: each pair of solution completes the matrix
-    rows + (head + pair,).  lads, if given, replaces _ladders(spec)."""
-    n, lads = spec.n, lads or _ladders(spec)
-    last = lads[-1]
+def _walk(lads):
+    """(rows, head, solution) for every fixed part of the ladders lads (one
+    row of ladders per matrix row) with solutions, in lexicographic order:
+    each pair of solution completes the matrix rows + (head + pair,)."""
+    n, last = len(lads), lads[-1]
     if n == 1:
         if 1 in last[0]:
             yield (), (), (True, (range(1, 2),))
         return
     if n == 2:  # the prefix is empty and c = (-r_1, r_0): one head, nothing to share
         lad1, lad2 = last
-        for _, r in _first_rows(spec, lads):
+        for _, r in _first_rows(lads):
             solution = _solve2(-r[1], r[0], 1, lad1, lad2)
             if solution:
                 yield (r,), (), solution
         return
-    for _, rows, c in _cofactors(spec, lads):
+    for _, rows, c in _cofactors(lads):
         for head, solution in _completions(c, last):
             yield rows, head, solution
 
@@ -341,7 +345,7 @@ def _shell_walk(spec: EnumSpec):
     m, lads = spec.caps[0], _ladders(spec)
     lad1, lad2 = lads[-1][-2:]
     heads = list(product(*lads[-1][:-2]))
-    for _, rows, c in _cofactors(spec, lads):
+    for _, rows, c in _cofactors(lads):
         a, b = c[-2], c[-1]
         face = any(m in row or -m in row for row in rows)
         gcd = ext_gcd(a, b) if face else None
@@ -383,9 +387,9 @@ def count_sl(spec: EnumSpec) -> int:
     if n == 2 and q == 0:
         return _count_sl2(*spec.caps)
     if n <= 2:  # each c comes once and has one head: nothing to share
-        return sum(_size(sol) for _, _, sol in _walk(spec))
+        return sum(_size(sol) for _, _, sol in _walk(_ladders(spec)))
     lads, hits, total = _ladders(spec), {}, 0
-    for weight, _, c in _cofactors(spec, lads, q == 0):
+    for weight, _, c in _cofactors(lads, q == 0):
         key = c if q else tuple(sorted(map(abs, c)))  # the box is symmetric at q = 0
         h = hits.get(key)
         if h is None:
@@ -402,7 +406,7 @@ def iter_sl(spec: EnumSpec):
     _check_budget(spec)
     return (
         rows + (head + pair,)
-        for rows, head, sol in _walk(spec)
+        for rows, head, sol in _walk(_ladders(spec))
         for pair in _pairs(sol)
     )
 
@@ -429,7 +433,7 @@ def iter_shell(n: int, m: int):
 def exists_sl(spec: EnumSpec) -> bool:
     """Whether at least one matching matrix exists."""
     _check_budget(spec)
-    return next(_walk(spec), None) is not None
+    return next(_walk(_ladders(spec)), None) is not None
 
 
 def _levels(lads):
@@ -455,9 +459,9 @@ def _cut(rows, cap: int):
     return [[_ladder(lad.start, lad.step, cap) for lad in row] for row in rows]
 
 
-def _least_lift(spec: EnumSpec) -> int | None:
-    """Least max norm of a matrix of iter_sl(spec), whose caps are all equal,
-    or None if there is none.
+def _least_lift(lads, cap: int) -> int | None:
+    """Least max norm of a matrix in the ladders lads, all cut at cap, or
+    None if there is none.
 
     Primitive first rows come in increasing norm (_levels), and the walk
     stops at the first level that reaches the best found.  The other rows
@@ -466,8 +470,7 @@ def _least_lift(spec: EnumSpec) -> int | None:
     solutions), which is never below the level.  At n = 2 the fixed part is
     the first row and its work one _solve2, as in _walk.
     """
-    n, lads = spec.n, _ladders(spec)
-    best, rest = spec.caps[0] + 1, lads[1:]
+    n, best, rest = len(lads), cap + 1, lads[1:]
     for s, firsts in _levels(lads[0]):
         if s >= best:
             break
@@ -485,7 +488,7 @@ def _least_lift(spec: EnumSpec) -> int | None:
             if math.gcd(*first) != 1:
                 continue
             below = [[range(v, v + 1) for v in first]] + rest
-            for rows, head, solution in _walk(spec, below):
+            for rows, head, solution in _walk(below):
                 # a walk's ladders stay as cut when it began, so check against best
                 least = max(max(map(abs, chain(first, *rows, head))), _least_norm(solution))
                 if least < best:
@@ -493,17 +496,18 @@ def _least_lift(spec: EnumSpec) -> int | None:
                         return s
                     best = least
                     rest = _cut(rest, best - 1)
-    return best if best <= spec.caps[0] else None
+    return best if best <= cap else None
 
 
 def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
     """Least T <= t_max admitting a lift of x mod q with max norm <= T.
 
     The cap T starts at the least value every entry's residue ladder
-    reaches and doubles until a lift appears.  Each cap is budgeted, then
-    walked once for its least lift norm (_least_lift), so the first cap
-    with a lift gives the exact answer and memory follows the answer, not
-    t_max.  Returns None when no lift exists by t_max.
+    reaches and doubles until a lift appears.  x is validated once; each
+    cap's ladders are built once, budgeted as iter_sl budgets that cap,
+    then walked once for their least lift norm (_least_lift), so the first
+    cap with a lift gives the exact answer and memory follows the answer,
+    not t_max.  Returns None when no lift exists by t_max.
     """
     n = x.nrows
     if x.ncols != n:
@@ -521,9 +525,9 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
     if t > t_max:
         return None
     while True:
-        spec = EnumSpec(n=n, caps=(t,) * n, q=q, x=x.rows)
-        _check_budget(spec)
-        least = _least_lift(spec)
+        lads = [[_ladder(v, q, t) for v in row] for row in x.rows]
+        _check_size(_fixed_parts(lads))
+        least = _least_lift(lads, t)
         if least is not None or t >= t_max:
             return least
         t = min(2 * t, t_max)

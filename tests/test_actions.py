@@ -2,13 +2,13 @@ import heapq
 import math
 import random
 from functools import cache
-from itertools import chain, permutations, product
+from itertools import chain, count, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sllift import oracle
+from sllift import actions, oracle
 from sllift.actions import (
     DistanceRecord,
     PointA,
@@ -169,6 +169,88 @@ class TestIterShell:
                 if math.gcd(*r) == 1 and m in map(abs, r)
             ]
             assert sorted(calls) == sorted([(-b, a) for a, b in faces] + [(b, -a) for a, b in faces])
+
+
+class TestShellStorage:
+    """actions._shell keeps each shell by row position: entry k holds row k
+    of every matrix, so zipping the entries back gives iter_shell."""
+
+    @pytest.mark.parametrize(
+        "n,m",
+        [(1, m) for m in (1, 2, 3)] + [(2, m) for m in range(1, 41)] + [(3, m) for m in (1, 2, 3)],
+    )
+    def test_rows_zip_back_to_iter_shell(self, n, m):
+        assert list(zip(*actions._shell(n, m))) == list(oracle.iter_shell(n, m))
+
+    def test_n1_shells_past_one_are_empty(self):
+        assert actions._shell(1, 1) == (((1,),),)
+        assert actions._shell(1, 2) == actions._shell(1, 3) == ()
+
+    def test_n1_records_and_budget_message(self):
+        assert dist_affine(PointA(5, (2,)), PointA(5, (2,)), 3) == DistanceRecord((2,), (2,), 5, 1, ((1,),), 3, 0.0)
+        assert dist_affine(PointA(5, (1,)), PointA(5, (2,)), 3) == DistanceRecord((1,), (2,), 5, None, None, 3, None)
+        assert dist_projective(PointP(5, (1,)), PointP(5, (2,)), 3) == DistanceRecord((1,), (1,), 5, 1, ((1,),), 3, 0.0)
+        ones = {"50": 1, "90": 1, "99": 1}
+        zeros = {"diameter": 0.0, "50": 0.0, "90": 0.0, "99": 0.0}
+        for space, q in (("A", 2), ("P", 5)):
+            assert diameter_profile(space, 1, q, 3) == {
+                "space": space, "n": 1, "q": q, "size": 1, "pairs": 1,
+                "diameter_norm": 1, "quantile_norms": ones, "exponents": zeros,
+            }
+        with pytest.raises(BudgetExceeded) as exc:
+            diameter_profile("A", 1, 5, 3)
+        assert str(exc.value) == "pair ((1,), (2,)) unresolved within norm 3"
+
+
+class TestRowImages:
+    """A scan takes each distinct row's image once: the memo's misses are
+    the distinct rows of the matrices it walked, in walk order."""
+
+    @pytest.fixture
+    def memos(self, monkeypatch):
+        made = []
+
+        class Counting(actions._RowImages):
+            def __init__(self, coords, q):
+                super().__init__(coords, q)
+                self.misses = 0
+                made.append(self)
+
+            def __missing__(self, row):
+                self.misses += 1
+                return super().__missing__(row)
+
+        monkeypatch.setattr(actions, "_RowImages", Counting)
+        return made
+
+    @staticmethod
+    def rows_of(matrices):
+        return set(chain.from_iterable(matrices))
+
+    @pytest.mark.parametrize("q", [6, 9, 16])
+    def test_distance_takes_each_walked_row_once(self, memos, q):
+        x, y = PointA(q, (1, 0)), PointA(q, (2, q - 1))
+        record = dist_affine(x, y, 8 * q)
+        walked = [g for m in range(1, record.min_max_norm) for g in oracle.iter_shell(2, m)]
+        last = list(oracle.iter_shell(2, record.min_max_norm))
+        walked += last[: last.index(record.witness) + 1]
+        (memo,) = memos
+        assert memo.misses == len(memo) == len(self.rows_of(walked))
+        assert set(memo) == self.rows_of(walked)
+
+    @pytest.mark.parametrize("space,n,q", [("A", 2, 7), ("P", 2, 12), ("A", 3, 3)])
+    def test_profile_takes_each_walked_row_once(self, memos, space, n, q):
+        # a profile stops within its last shell, so its memo holds the rows
+        # of the shortest prefix of the shell-by-shell walk that covers it
+        diameter_profile(space, n, q, 8 * q)
+        assert memos
+        for memo in memos:
+            walk = (g for m in count(1) for g in oracle.iter_shell(n, m))
+            rows = set()
+            while not rows >= memo.keys():
+                rows.update(next(walk))
+            assert memo.misses == len(memo) == len(rows)
+            assert set(memo) == rows
 
 
 class TestPoints:

@@ -363,12 +363,18 @@ class TestMinLiftNorm:
         ],
     )
     def test_answer_and_budgeted_caps_are_pinned(self, monkeypatch, rows, q, t_max, answer, caps):
-        seen = []
-        real = oracle._check_budget
-        monkeypatch.setattr(oracle, "_check_budget", lambda spec: seen.append(spec.caps) or real(spec))
+        # each cap is budgeted at its EnumSpec's candidate count, then walked
+        # once; x's determinant is taken once per call
+        budgeted = [candidate_count(EnumSpec(n=2, caps=(t, t), q=q, x=rows)) for t in caps]
+        seen, dets = [], []
+        check_size, least_lift, det = oracle._check_size, oracle._least_lift, oracle.intmat.det
+        monkeypatch.setattr(oracle, "_check_size", lambda size: seen.append(size) or check_size(size))
+        monkeypatch.setattr(oracle, "_least_lift", lambda lads, cap: seen.append(cap) or least_lift(lads, cap))
+        monkeypatch.setattr(oracle.intmat, "det", lambda m: dets.append(m) or det(m))
         monkeypatch.setattr(oracle, "exists_sl", lambda spec: pytest.fail("exists_sl called"))
         assert min_lift_norm(IntMatrix(rows), q, t_max) == answer
-        assert seen == [(t, t) for t in caps]
+        assert seen == [v for pair in zip(budgeted, caps) for v in pair]
+        assert len(dets) == 1
 
 
 # N_3(T) for T = 0..6, cross-checked between the kernel walk and an
