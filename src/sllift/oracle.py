@@ -40,10 +40,9 @@ A norm shell (max norm exactly m, q = 0) at n = 2 is built from its face,
 the primitive rows with an entry +-m: each is a first row completed by any
 second row in the box, or a second row under a first row strictly inside
 it, two _solve2 calls per face row, and the shell is sorted into iter_sl
-order (docs/decisions.md).  At n >= 3 it is the cap-m walk cut down per
-fixed part: one with an entry +-m keeps every solved pair, any other keeps
-only the pairs with u or v = +-m, found by a divisibility check on each
-side of the square (iter_shell).
+order (docs/decisions.md).  At every other n it is the cap-m walk
+filtered per fixed part: one with an entry +-m keeps every solved pair,
+any other only the pairs with u or v = +-m (iter_shell).
 
 A minimal lift norm doubles a cap from the least value every entry
 reaches, and walks each cap once for its least lift (_least_lift):
@@ -75,9 +74,12 @@ def current_budget() -> int:
     if not env:
         return DEFAULT_BUDGET
     try:
-        return int(env, 10)
+        budget = int(env, 10)
     except ValueError:
-        raise InvalidInput(f"SLLIFT_BUDGET must be a decimal integer, got {env!r}") from None
+        budget = None
+    if budget is None or budget < 0:
+        raise InvalidInput(f"SLLIFT_BUDGET must be a non-negative decimal integer, got {env!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -253,9 +255,14 @@ def _first_rows(lads, weighted: bool = False):
 
 def _cofactors(lads, weighted: bool = False):
     """(weight, rows, c) for the first n - 1 rows of every matrix walked in
-    the ladders lads (n >= 3), with c their cofactor vector:
-    det(rows + (v,)) = <v, c>.  The first row runs over _first_rows."""
+    the ladders lads (n >= 2), with c their cofactor vector:
+    det(rows + (v,)) = <v, c>.  The first row runs over _first_rows; at
+    n = 2 it is all of rows, and c = (-r_1, r_0) needs no map."""
     n = len(lads)
+    if n == 2:
+        for weight, r in _first_rows(lads, weighted):
+            yield weight, (r,), (-r[1], r[0])
+        return
     middle = [list(product(*lads[i])) for i in range(1, n - 2)]
     lasts = list(product(*lads[n - 2]))
     for weight, first in _first_rows(lads, weighted):
@@ -289,33 +296,9 @@ def _walk(lads):
         if 1 in last[0]:
             yield (), (), (True, (range(1, 2),))
         return
-    if n == 2:  # the prefix is empty and c = (-r_1, r_0): one head, nothing to share
-        lad1, lad2 = last
-        for _, r in _first_rows(lads):
-            solution = _solve2(-r[1], r[0], 1, lad1, lad2)
-            if solution:
-                yield (r,), (), solution
-        return
     for _, rows, c in _cofactors(lads):
         for head, solution in _completions(c, last):
             yield rows, head, solution
-
-
-def _line(b: int, r: int, m: int):
-    """The v in [-m, m] with b * v = r, ascending."""
-    if b == 0:
-        return range(-m, m + 1) if r == 0 else ()
-    v, rem = divmod(r, b)
-    return (v,) if not rem and -m <= v <= m else ()
-
-
-def _rim(a: int, b: int, r: int, m: int) -> list:
-    """Pairs (u, v) in [-m, m]^2 with a*u + b*v = r and |u| = m or |v| = m,
-    ascending: one divisibility check per side of the square, unless a
-    coefficient vanishes and the side is all solutions or none."""
-    pairs = [(s, v) for s in (-m, m) for v in _line(b, r - a * s, m)]
-    pairs += [(u, s) for s in (-m, m) for u in _line(a, r - b * s, m) if -m < u < m]
-    return sorted(pairs)
 
 
 def _face2(m: int) -> list:
@@ -337,26 +320,19 @@ def _face2(m: int) -> list:
 
 
 def _shell_walk(spec: EnumSpec):
-    """(rows, head, pairs) for every fixed part of _walk (q = 0, n >= 3,
-    every cap m) whose completions include one of max norm exactly m, in
-    _walk's order, with pairs the ascending completions that reach norm m:
-    all of them when the fixed part has an entry +-m, else only those on the
-    rim (_rim)."""
-    m, lads = spec.caps[0], _ladders(spec)
-    lad1, lad2 = lads[-1][-2:]
-    heads = list(product(*lads[-1][:-2]))
-    for _, rows, c in _cofactors(lads):
-        a, b = c[-2], c[-1]
-        face = any(m in row or -m in row for row in rows)
-        gcd = ext_gcd(a, b) if face else None
-        for head in heads:
-            r = 1 - sum(map(mul, head, c))
-            if face or m in head or -m in head:
-                pairs = _pairs(_solve2(a, b, r, lad1, lad2, gcd))
-            else:
-                pairs = _rim(a, b, r, m)
-            if pairs:
-                yield rows, head, pairs
+    """(rows, head, pairs) for every fixed part of _walk (q = 0, every cap m,
+    n != 2), in _walk's order, with pairs its ascending completions of max
+    norm exactly m: all of them when the fixed part has an entry +-m, else
+    those with u or v = +-m.  The rows' face test is made once per rows,
+    which _walk yields once per (prefix, row n - 1)."""
+    m, seen, face = spec.caps[0], None, False
+    for rows, head, solution in _walk(_ladders(spec)):
+        if rows is not seen:
+            seen, face = rows, any(m in row or -m in row for row in rows)
+        if face or m in head or -m in head:
+            yield rows, head, _pairs(solution)
+        else:
+            yield rows, head, [p for p in _pairs(solution) if m in p or -m in p]
 
 
 def _mobius(limit: int) -> list[int]:
@@ -415,18 +391,16 @@ def iter_shell(n: int, m: int):
     """Every SL_n(Z) matrix of max norm exactly m, in iter_sl order.
 
     The shell is exactly iter_sl at cap m less iter_sl at cap m - 1: at
-    n = 2 built from its face (_face2) and sorted, at n >= 3 the cap-m walk
-    keeping only what reaches norm m (_shell_walk).  The budget is checked
-    eagerly on what the builder walks: at n = 2 its 8m face rows, otherwise
-    the cap-m box, as iter_sl checks it.
+    n = 2 built from its face (_face2) and sorted, at every other n the
+    cap-m walk filtered to what reaches norm m (_shell_walk).  The budget is
+    checked eagerly on what the builder walks: at n = 2 its 8m face rows,
+    otherwise the cap-m box, as iter_sl checks it.
     """
     spec = EnumSpec(n=n, caps=(m,) * n)
     if n == 2:  # iter_sl order is the lexicographic order of the row tuples
         _check_size(8 * m)
         return iter(sorted(_face2(m)))
     _check_budget(spec)
-    if n == 1:
-        return iter([((1,),)] if m == 1 else [])
     return (rows + (head + pair,) for rows, head, pairs in _shell_walk(spec) for pair in pairs)
 
 

@@ -159,7 +159,8 @@ class TestIterShell:
         calls = []
         real = oracle._solve2
         monkeypatch.setattr(oracle, "_solve2", lambda *a: calls.append(a[:2]) or real(*a))
-        monkeypatch.setattr(oracle, "_rim", lambda *a: pytest.fail("_rim called at n = 2"))
+        # and the cap-m walk, filtered to its rim at other n, never runs
+        monkeypatch.setattr(oracle, "_shell_walk", lambda *a: pytest.fail("_shell_walk called at n = 2"))
         for m in range(1, 13):
             calls.clear()
             list(oracle.iter_shell(2, m))

@@ -479,6 +479,15 @@ class TestSweeps:
         assert err.startswith("usage error: ")
         assert "SLLIFT_BUDGET" in err and "'abc'" in err
 
+    def test_negative_env_budget_is_usage_error(self, capsys, monkeypatch):
+        # not a budget every point exceeds (exit 3); 0 stays a valid budget
+        monkeypatch.setenv("SLLIFT_BUDGET", "-5")
+        code, out, err = run(["sweep", "counts", "--n", "3", "--T", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert "SLLIFT_BUDGET" in err and "'-5'" in err
+
     def test_csv_and_jsonl_outputs(self, tmp_path, capsys):
         csv_path = str(tmp_path / "out.csv")
         jsonl_path = str(tmp_path / "out.jsonl")

@@ -672,6 +672,8 @@ def prefix_and_row(draw):
 
 
 WALK_SPECS = [
+    # n = 2: the prefix is empty and _cofactors yields c = (-r_1, r_0) itself
+    EnumSpec(n=2, caps=(4, 6), q=3, x=((1, 1), (0, 1))),
     EnumSpec(n=3, caps=(2, 2, 2)),
     EnumSpec(n=3, caps=(1, 3, 2), q=3, x=((1, 0, 0), (0, 1, 0), (0, 0, 1))),
     EnumSpec(n=4, caps=(1,) * 4, q=2, x=odd_row_target(4)),
@@ -743,6 +745,13 @@ class TestCofactorMap:
         monkeypatch.setattr(oracle, "_solve2", lambda *a: calls.append(a) or real(*a))
         assert count_sl(spec) == N3[2]
         assert len(calls) <= len(keys) * 5 <= 225
+
+    @pytest.mark.parametrize("spec", WALK_SPECS, ids=repr)
+    def test_walk_specs_match_per_row_reference(self, spec):
+        matrices = reference_matrices(spec)
+        assert list(iter_sl(spec)) == matrices
+        assert count_sl(spec) == reference_count(spec)
+        assert exists_sl(spec) == bool(matrices)
 
     @pytest.mark.parametrize("spec", WALK_SPECS, ids=repr)
     def test_at_most_n_minors_per_prefix(self, spec, monkeypatch):
