@@ -251,14 +251,12 @@ def _skewed_point(params: dict, seed: int) -> dict:
 
 def _lift_bounds_point(params: dict, seed: int) -> dict:
     q, n = params["q"], params["n"]
-    scale_first = q * math.log2(q + 2)
-    scale_last = q * q * math.log2(q + 2)
     worst_first, worst_last, worst_trials = 0.0, 0.0, 0
     for s in range(params["samples"]):
-        x = lifting.random_sl_matrix(n, q, _mix(seed, q, s))
+        x = lifting.random_sl_matrix(n, q, _mix(seed, q, s))  # refuses q < 1 before log2 sees it
         cert = lifting.lift(x, q, seed=_mix(seed, q, s, 1))
-        worst_first = max(worst_first, cert.first_rows_max / scale_first)
-        worst_last = max(worst_last, cert.last_row_max / scale_last)
+        worst_first = max(worst_first, cert.first_rows_max / (q * math.log2(q + 2)))
+        worst_last = max(worst_last, cert.last_row_max / (q * q * math.log2(q + 2)))
         worst_trials = max(worst_trials, cert.trials_used)
     ratios = {"max_first_ratio": worst_first, "max_last_ratio": worst_last, "max_trials": worst_trials}
     return {**params, **ratios}  # the results lead with the point's params: q, n, samples

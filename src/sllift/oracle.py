@@ -26,8 +26,8 @@ non-negative first rows are enumerated, each weighted by its orbit size.
 At n = 2 that reduction leaves closed forms, used instead of the walk:
 count_sl takes 4 + 16 times the coprime pairs in [1, t1] x [1, t2], summed
 by Moebius inversion; norm_count_table (t1 = t2) reads every threshold off
-one totient prefix, kept per process and grown by doubling
-(docs/decisions.md).
+a totient prefix.  One cached sieve gives both mu and that prefix, at the
+power of two above the threshold, and at least 256 (docs/decisions.md).
 
 At n >= 3 a count needs only how many last rows complete each c, so
 count_sl sums weight * H(c), with H(c) the number of last rows v in the
@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, chain, combinations_with_replacement, product
 from operator import mul
 
@@ -335,20 +336,28 @@ def _shell_walk(spec: EnumSpec):
             yield rows, head, [p for p in _pairs(solution) if m in p or -m in p]
 
 
-def _mobius(limit: int) -> list[int]:
-    """mu(k) for 0 <= k <= limit (mu(0) unused), sieved prime by prime."""
-    mu = [1] * (limit + 1)
-    for p in small_primes(limit + 1):
+@cache
+def _n2_sieve(size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(mu(0..size), N_2(0..size)) as shared tuples, from one pass over
+    the primes; mu(0) is unused, and N_2(T) = 32 (phi(1) + ... + phi(T)) - 12
+    sums exact[k] = 32 phi(k), less 12 at k = 1.  For threshold t callers pass
+    the power of two above t, at least 256 (below that a sieve costs about
+    what its call does), so thresholds 1..T in any order cost O(log T) sieves."""
+    mu = [1] * (size + 1)
+    exact = list(range(0, 32 * size + 1, 32))
+    for p in small_primes(size + 1):
         mu[p::p] = [-v for v in mu[p::p]]
-        mu[p * p :: p * p] = [0] * len(range(p * p, limit + 1, p * p))
-    return mu
+        mu[p * p :: p * p] = [0] * (size // (p * p))
+        exact[p::p] = [v - v // p for v in exact[p::p]]
+    exact[1] -= 12
+    return tuple(mu), tuple(accumulate(exact))
 
 
 def _count_sl2(t1: int, t2: int) -> int:
     """count_sl at n = 2 and q = 0: 4 + 16 #{coprime (b, d) in [1, t1] x [1, t2]},
-    the pairs counted as sum of mu(e) floor(t1/e) floor(t2/e)."""
+    the pairs counted as sum of mu(e) floor(t1/e) floor(t2/e) (_n2_sieve's mu)."""
     top = min(t1, t2)
-    mu = _mobius(top)
+    mu = _n2_sieve(1 << max(8, top.bit_length()))[0]
     return 4 + 16 * sum(mu[e] * (t1 // e) * (t2 // e) for e in range(1, top + 1))
 
 
@@ -507,37 +516,12 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
         t = min(2 * t, t_max)
 
 
-def _n2_sieve(t_max: int) -> list[int]:
-    """N_2(0), ..., N_2(t_max) (t_max >= 1), with N_2(T) = 32 (phi(1) + ... +
-    phi(T)) - 12: exact[k] = 32 phi(k), less 12 at k = 1, summed."""
-    exact = list(range(0, 32 * t_max + 1, 32))
-    for p in small_primes(t_max + 1):
-        exact[p::p] = [v - v // p for v in exact[p::p]]
-    exact[1] -= 12
-    return list(accumulate(exact))
-
-
-_n2_counts = [0]  # the longest totient prefix this process has sieved
-
-
-def _n2_prefix(t_max: int) -> list[int]:
-    """N_2(0..T) for some T >= t_max, kept per process.  A short prefix is
-    resieved to max(t_max, twice its top), so thresholds 1..T_max in any
-    order cost O(log T_max) sieves of O(T_max) entries in all."""
-    global _n2_counts
-    top = len(_n2_counts) - 1
-    if top < t_max:
-        _n2_counts = _n2_sieve(max(t_max, 2 * top))
-    return _n2_counts
-
-
 def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     """Rows (T, exact count within norm T, count / T^(n^2 - n)).
 
     The thresholds are budgeted once, at the largest (if > 0), before any
-    count.  At n = 2, one or many, they are then read off the process's one
-    totient prefix (_n2_prefix); otherwise each distinct threshold is one
-    count_sl.
+    count.  At n = 2, one or many, they are then read off one cached totient
+    prefix (_n2_sieve); otherwise each distinct threshold is one count_sl.
     """
     t_list = [int(t) for t in t_list]
     if any(t < 0 for t in t_list):
@@ -547,7 +531,7 @@ def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     if t_max > 0:
         _check_budget(EnumSpec(n=n, caps=(t_max,) * n))
     if n == 2:
-        counts = _n2_prefix(t_max)
+        counts = _n2_sieve(1 << max(8, t_max.bit_length()))[1]
     else:
         counts = {t: count_sl(EnumSpec(n=n, caps=(t,) * n)) if t else 0 for t in set(t_list)}
     return [(t, counts[t], counts[t] / t**exponent if t else None) for t in t_list]

@@ -355,18 +355,26 @@ class TestSweeps:
         for row in rows:
             jsonschema.validate(row, SCHEMA)
 
-    def test_n2_counts_sweep_reuses_one_prefix(self, capsys, monkeypatch):
-        # the prefix grows by doubling, so T = 1..512 sieves at most
-        # ceil(log2 512) + 1 times, and every point reads the known count
-        sieves = []
-        real = oracle._n2_sieve
-        monkeypatch.setattr(oracle, "_n2_counts", [0])
-        monkeypatch.setattr(oracle, "_n2_sieve", lambda t: sieves.append(t) or real(t))
+    def test_n2_counts_sweep_reuses_one_prefix(self, capsys):
+        # each threshold reads the cached sieve at the power of two above it
+        # (at least 256), so T = 1..512 sieves at most ceil(log2 512) + 1
+        # times, and every point reads the known count
+        oracle._n2_sieve.cache_clear()
         code, out, _ = run(["sweep", "counts", "--n", "2", "--T", "1..512"], capsys)
         assert code == 0
-        assert len(sieves) <= math.ceil(math.log2(512)) + 1
+        assert oracle._n2_sieve.cache_info().misses <= math.ceil(math.log2(512)) + 1
         counts = [r["results"]["count"] for r in records_from(out)]
         assert counts == [oracle.count_sl(oracle.EnumSpec(n=2, caps=(t, t))) for t in range(1, 513)]
+
+    def test_skewed_sweep_reuses_one_sieve(self, capsys, monkeypatch):
+        # mu comes from the same cached sieve, not one sieve per point
+        oracle._n2_sieve.cache_clear()
+        calls = []
+        real = oracle.small_primes
+        monkeypatch.setattr(oracle, "small_primes", lambda limit: calls.append(limit) or real(limit))
+        code, _, _ = run(["sweep", "skewed", "--n", "2", "--T", "1..200"], capsys)
+        assert code == 0
+        assert len(calls) <= math.ceil(math.log2(200)) + 1
 
     def test_each_record_times_its_own_point(self, capsys, monkeypatch):
         # a clock that advances 0.25 s per read: each point takes one step
@@ -634,6 +642,19 @@ class TestNoTracebackEscapes:
         assert record["results"]["flagged"] is True
         assert record["results"]["error"]
         jsonschema.validate(record, SCHEMA)
+
+    def test_lift_bounds_negative_q_is_flagged(self):
+        # random_sl_matrix refuses every q < 1 before log2(q + 2) can fail at q <= -2
+        proc = run_process(["sweep", "lift-bounds", "--n", "2", "--q=-3..0", "--samples", "1"])
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        rows = records_from(proc.stdout)
+        assert [r["params"]["q"] for r in rows] == [-3, -2, -1, 0]
+        for row in rows:
+            q = row["params"]["q"]
+            error = f"need n >= 2 and q >= 1, got n=2, q={q}"
+            assert row["results"] == {"error": error, "flagged": True}
+            jsonschema.validate(row, SCHEMA)
 
     def test_skewed_point_beyond_index_range_reports_budget(self, capsys):
         code, out, _ = run(["sweep", "skewed", "--T", str(10**110)], capsys)
