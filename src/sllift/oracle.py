@@ -13,9 +13,9 @@ the full grid when both cofactors vanish, always in ascending
 (v_{n-1}, v_n) order, so matrices come out in lexicographic row-major order.
 The cofactors are linear in row n - 1: c = K(P) r, with P the first n - 2
 rows and r row n - 1.  The walk builds the map K once per prefix P (n
-maximal_minors calls, or at n = 3 the cross-product matrix of the first
-row) and gets each r's c from n dot products.  At n = 2 the prefix is empty
-and c = (-r_1, r_0), with no map built.
+maximal_minors calls) and gets each r's c from n dot products.  Two cases
+build no map: at n = 3, c is the cross product of the first row and r,
+written out, and at n = 2 the prefix is empty and c = (-r_1, r_0).
 Entries constrained mod q range over their residue ladders x_ij + qZ
 intersected with [-cap, cap].
 
@@ -31,10 +31,14 @@ power of two above the threshold, and at least 256 (docs/decisions.md).
 
 At n >= 3 a count needs only how many last rows complete each c, so
 count_sl sums weight * H(c), with H(c) the number of last rows v in the
-ladders with <v, c> = 1, memoised within the call.  At q = 0 the last
-row's box is invariant under signed permutations of its entries, so H is
-keyed by sorted |c|.  norm_count_table at n >= 3 is one such count per
-threshold.  The walk stays the reference the tests compare counts against.
+ladders with <v, c> = 1, memoised within the call.  _hits takes one
+extended gcd per c and adds each head's span of solutions, listing none.
+At q = 0 the last row's box is invariant under signed permutations of its
+entries, so H is keyed by sorted |c|; and (prefix, r, v) -> (prefix, -r, -v)
+keeps det 1 and every box, so row n - 1 runs over the half of its box
+after the zero row, with twice the weight.  norm_count_table at n >= 3 is
+one such count per threshold.  The walk stays the reference the tests
+compare counts against.
 
 A norm shell (max norm exactly m, q = 0) at n = 2 is built from its face,
 the primitive rows with an entry +-m: each is a first row completed by any
@@ -162,13 +166,8 @@ def _cofactor_map(prefix) -> tuple[tuple[int, ...], ...]:
     """Rows of K with K r = maximal_minors(prefix + (r,)) for every row r.
 
     Those cofactors are linear in r, so column k of K is the cofactor vector
-    of prefix + (e_k,): one maximal_minors call per column.  At n = 3 they
-    are the cross product first x r, and K is the first row's cross-product
-    matrix.
+    of prefix + (e_k,): one maximal_minors call per column.
     """
-    if len(prefix) == 1:
-        a0, a1, a2 = prefix[0]
-        return ((0, -a2, a1), (a2, 0, -a0), (-a1, a0, 0))
     units = IntMatrix.identity(len(prefix) + 2).rows
     return tuple(zip(*(intmat.maximal_minors(IntMatrix(prefix + (e,))) for e in units)))
 
@@ -258,15 +257,34 @@ def _cofactors(lads, weighted: bool = False):
     """(weight, rows, c) for the first n - 1 rows of every matrix walked in
     the ladders lads (n >= 2), with c their cofactor vector:
     det(rows + (v,)) = <v, c>.  The first row runs over _first_rows; at
-    n = 2 it is all of rows, and c = (-r_1, r_0) needs no map."""
+    n = 2 it is all of rows, and c = (-r_1, r_0) needs no map; at n = 3,
+    c is the cross product first x r, written out; above, c = K r with K
+    the prefix's _cofactor_map.
+
+    When weighted (q = 0) at n >= 3, row n - 1 runs over the half of its
+    box after the zero row, with twice the weight: the map
+    (prefix, r, v) -> (prefix, -r, -v) keeps det = 1 and the symmetric
+    boxes, product order puts -r at the mirrored index, and r = 0 gives
+    c = 0, which no last row completes."""
     n = len(lads)
     if n == 2:
         for weight, r in _first_rows(lads, weighted):
             yield weight, (r,), (-r[1], r[0])
         return
+    lasts, double = list(product(*lads[n - 2])), 1
+    if weighted:
+        lasts, double = lasts[len(lasts) // 2 + 1 :], 2
+    if n == 3:
+        for weight, first in _first_rows(lads, weighted):
+            a0, a1, a2 = first
+            weight *= double
+            for r in lasts:
+                r0, r1, r2 = r
+                yield weight, (first, r), (a1 * r2 - a2 * r1, a2 * r0 - a0 * r2, a0 * r1 - a1 * r0)
+        return
     middle = [list(product(*lads[i])) for i in range(1, n - 2)]
-    lasts = list(product(*lads[n - 2]))
     for weight, first in _first_rows(lads, weighted):
+        weight *= double
         for rest in product(*middle):
             prefix = (first,) + rest
             k = _cofactor_map(prefix)
@@ -286,6 +304,49 @@ def _completions(c, last):
         solution = _solve2(a, b, 1 - sum(map(mul, head, c)), lad1, lad2, gcd)
         if solution:
             yield head, solution
+
+
+def _hits(c, last) -> int:
+    """H(c): the number of last rows v in the ladders last with <v, c> = 1,
+    the total size of _completions(c, last) without building it.
+
+    _solve2's index-space arithmetic is done once (one extended gcd); each
+    head then adds its span length hi - lo + 1.  When a scaled coefficient
+    of the last two entries is 0, the per-head solutions are summed instead.
+    """
+    a, b, lad1, lad2 = c[-2], c[-1], last[-2], last[-1]
+    a1, b1 = a * lad1.step, b * lad2.step
+    if a1 == 0 or b1 == 0:
+        return sum(_size(sol) for _, sol in _completions(c, last))
+    top1, top2 = len(lad1) - 1, len(lad2) - 1
+    if top1 < 0 or top2 < 0:
+        return 0
+    g, s, t = ext_gcd(a1, b1)
+    # as in _solve2, the solutions' ladder indices are (s*k + p*m, t*k + w*m)
+    # with k = rhs / g and p > 0; at w < 0, index i of lad2 is counted from
+    # its top as top2 - i, so that its step -w is positive as well
+    p, w = b1 // g, -a1 // g
+    if p < 0:
+        p, w = -p, -w
+    off = 0
+    if w < 0:
+        off, t, w = top2, -t, -w
+    base, total = 1 - a * lad1.start - b * lad2.start, 0
+    # <head, c> for every head, in order, from each entry's multiples of its coefficient
+    dots = map(sum, product(*([v * x for x in lad] for v, lad in zip(c, last[:-2]))))
+    for dot in dots:
+        k, rem = divmod(base - dot, g)
+        if rem:
+            continue
+        k1, k2 = s * k, off + t * k
+        lo, lo2, hi, hi2 = -(k1 // p), -(k2 // w), (top1 - k1) // p, (top2 - k2) // w
+        if lo2 > lo:
+            lo = lo2
+        if hi2 < hi:
+            hi = hi2
+        if hi >= lo:
+            total += hi - lo + 1
+    return total
 
 
 def _walk(lads):
@@ -378,7 +439,7 @@ def count_sl(spec: EnumSpec) -> int:
         key = c if q else tuple(sorted(map(abs, c)))  # the box is symmetric at q = 0
         h = hits.get(key)
         if h is None:
-            h = hits[key] = sum(_size(sol) for _, sol in _completions(key, lads[-1]))
+            h = hits[key] = _hits(key, lads[-1])
         total += weight * h
     return total
 

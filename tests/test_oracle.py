@@ -377,9 +377,9 @@ class TestMinLiftNorm:
         assert len(dets) == 1
 
 
-# N_3(T) for T = 0..6, cross-checked between the kernel walk and an
-# independent per-cofactor count
-N3 = [0, 3480, 67704, 640824, 2597208, 10426488, 23527320]
+# N_3(T) for T = 0..8: T <= 6 cross-checked between the kernel walk and an
+# independent per-cofactor count, T = 7 and 8 as listed in ROADMAP item 4a
+N3 = [0, 3480, 67704, 640824, 2597208, 10426488, 23527320, 65641560, 128475096]
 
 
 def n2_reference(t):
@@ -390,8 +390,8 @@ def n2_reference(t):
 
 class TestNormCountTable:
     def test_n3_goldens(self):
-        assert [count_sl(EnumSpec(n=3, caps=(t,) * 3)) for t in (4, 5, 6)] == N3[4:]
-        assert [count for _, count, _ in norm_count_table(3, range(1, 7))] == N3[1:]
+        assert [count_sl(EnumSpec(n=3, caps=(t,) * 3)) for t in range(4, 9)] == N3[4:]
+        assert [count for _, count, _ in norm_count_table(3, range(1, 9))] == N3[1:]
 
     def test_t_zero_and_one(self):
         table = norm_count_table(2, [0, 1])
@@ -729,8 +729,8 @@ class TestCofactorMap:
         assert [count for _, count, _ in norm_count_table(3, [1, 2, 3])] == counts
 
     def test_one_hyperplane_count_per_key(self, monkeypatch):
-        # at q = 0 the last row is solved once per head for each distinct
-        # sorted |c|, not for every (first row, row 2) pair
+        # at q = 0 the last row is counted (one _hits call) exactly once for
+        # each distinct sorted |c|, not for every (first row, row 2) pair
         spec = EnumSpec(n=3, caps=(2, 2, 2))
         firsts = itertools.combinations_with_replacement(range(3), 3)
         box = list(itertools.product(range(-2, 3), repeat=3))
@@ -741,10 +741,26 @@ class TestCofactorMap:
             for r in box
         }
         calls = []
-        real = oracle._solve2
-        monkeypatch.setattr(oracle, "_solve2", lambda *a: calls.append(a) or real(*a))
+        real = oracle._hits
+        monkeypatch.setattr(oracle, "_hits", lambda c, last: calls.append(c) or real(c, last))
         assert count_sl(spec) == N3[2]
-        assert len(calls) <= len(keys) * 5 <= 225
+        assert sorted(calls) == sorted(keys)
+        assert len(keys) == 45
+
+    @pytest.mark.parametrize("caps", [(2, 2, 2), (1, 2, 3), (3, 1, 2), (1, 1, 1, 1)], ids=repr)
+    def test_weighted_walk_takes_the_upper_half_of_row_n_minus_1(self, caps):
+        # (prefix, r, v) -> (prefix, -r, -v) keeps det 1 and the boxes, so the
+        # weighted walk takes only the rows r after zero in row n - 1's box,
+        # each with twice its first row's orbit weight
+        spec = EnumSpec(n=len(caps), caps=caps)
+        n, cap = spec.n, caps[-2]
+        upper = [r for r in itertools.product(range(-cap, cap + 1), repeat=n) if r > (0,) * n]
+        seen = {}
+        for weight, rows, _ in oracle._cofactors(oracle._ladders(spec), weighted=True):
+            assert weight == 2 * oracle._orbit_size(rows[0])
+            seen.setdefault(rows[:-1], []).append(rows[-1])
+        assert len(seen) == walked_prefixes(spec, True)
+        assert all(lasts == upper for lasts in seen.values())
 
     @pytest.mark.parametrize("spec", WALK_SPECS, ids=repr)
     def test_walk_specs_match_per_row_reference(self, spec):
@@ -777,3 +793,35 @@ class TestCofactorMap:
             calls.clear()
             run(spec)
             assert len(calls) <= walked_prefixes(spec, weighted) * rows
+
+
+@st.composite
+def hits_cases(draw):
+    """(c, last): c of length 3..5, zero, with one nonzero entry or any
+    entries (negatives included), and the last row's ladders, a q = 0 box
+    or q = 2..7 residue ladders, which are often empty at small caps."""
+    n = draw(st.integers(3, 5))
+    shape = draw(st.sampled_from(["zero", "one", "any"]))
+    c = [0] * n
+    if shape == "one":
+        c[draw(st.integers(0, n - 1))] = draw(st.integers(-9, 9).filter(bool))
+    elif shape == "any":
+        c = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    cap, q = draw(st.integers(1, 6)), draw(st.sampled_from([0, 2, 3, 4, 5, 6, 7]))
+    last = [oracle._ladder(draw(st.integers(0, q - 1)) if q else 0, q, cap) for _ in range(n)]
+    return tuple(c), last
+
+
+class TestHits:
+    @settings(max_examples=300, deadline=None)
+    @given(hits_cases())
+    @example(((0, 0, 0), [range(-2, 3)] * 3))
+    @example(((0, 0, -1), [range(-1, 2)] * 3))
+    @example(((-3, 0, 0, 0), [range(-2, 3)] * 4))
+    @example(((4, -6, 10), [oracle._ladder(x, 5, 6) for x in (1, 2, 3)]))
+    # an empty head ladder (2 + 7Z misses [-1, 1]), then an empty last ladder
+    @example(((2, -4, 6, 3), [oracle._ladder(x, 7, 1) for x in (1, 2, 0, 6)]))
+    @example(((2, -4, 6, 3), [oracle._ladder(x, 7, 1) for x in (1, 0, 0, 3)]))
+    def test_matches_per_head_solutions(self, case):
+        c, last = case
+        assert oracle._hits(c, last) == sum(oracle._size(s) for _, s in oracle._completions(c, last))
