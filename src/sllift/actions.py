@@ -220,6 +220,8 @@ def diameter_profile(space: str, n: int, q: int, t_max: int) -> dict:
         raise InvalidInput(f"need n >= 1, got {n}")
     if q < 2:
         raise InvalidInput(f"need q >= 2, got {q}")
+    if space == "A" and n == 1 and q > 2:  # phi(q) >= 2 points, and no norm joins two
+        raise InvalidInput(f"SL_1(Z) = {{1}} fixes every point, so the affine line mod {q} has no diameter")
     points, norms = _all_distances(space, n, q, t_max)
     values = sorted(norms)
     total = len(values)

@@ -244,8 +244,8 @@ def _counts_point(params: dict, seed: int) -> dict:
 
 def _skewed_point(params: dict, seed: int) -> dict:
     t = params["T"]
-    count = oracle.count_sl(oracle.EnumSpec(n=2, caps=(t, t * t)))
-    norm = count / (t**3 * math.log2(t + 1)) if t >= 1 else None
+    count = oracle.count_sl(oracle.EnumSpec(n=2, caps=(t, t * t))) if t else 0  # T = 0: an empty box
+    norm = count / (t**3 * math.log2(t + 1)) if t else None
     return {"T": t, "count": count, "normalized": norm}
 
 

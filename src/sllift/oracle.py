@@ -7,10 +7,11 @@ Enumeration contract: every entry is fixed except the last two of the last
 row.  With c the maximal minors of the first n - 1 rows, those two satisfy
 c_{n-1} v_{n-1} + c_n v_n = 1 - <head, c>, where head is the rest of the
 last row: a two-variable linear Diophantine equation, solved exactly on the
-two residue ladders with one extended gcd per c (only the right-hand side
-depends on head).  Its solutions are none, one arithmetic progression, or
-the full grid when both cofactors vanish, always in ascending
-(v_{n-1}, v_n) order, so matrices come out in lexicographic row-major order.
+two residue ladders from one solution line (_line, one extended gcd) per c,
+as only the right-hand side depends on head.  Its solutions are none, one
+arithmetic progression, or the full grid when both cofactors vanish, always
+in ascending (v_{n-1}, v_n) order, so matrices come out in lexicographic
+row-major order.
 The cofactors are linear in row n - 1: c = K(P) r, with P the first n - 2
 rows and r row n - 1.  The walk builds the map K once per prefix P (n
 maximal_minors calls) and gets each r's c from n dot products.  Two cases
@@ -31,8 +32,8 @@ power of two above the threshold, and at least 256 (docs/decisions.md).
 
 At n >= 3 a count needs only how many last rows complete each c, so
 count_sl sums weight * H(c), with H(c) the number of last rows v in the
-ladders with <v, c> = 1, memoised within the call.  _hits takes one
-extended gcd per c and adds each head's span of solutions, listing none.
+ladders with <v, c> = 1, memoised within the call.  _hits reads the same
+_line per c and adds each head's span on it, listing no solution.
 At q = 0 the last row's box is invariant under signed permutations of its
 entries, so H is keyed by sorted |c|; and (prefix, r, v) -> (prefix, -r, -v)
 keeps det 1 and every box, so row n - 1 runs over the half of its box
@@ -172,53 +173,57 @@ def _cofactor_map(prefix) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*(intmat.maximal_minors(IntMatrix(prefix + (e,))) for e in units)))
 
 
-def _index_span(k0: int, step: int, size: int) -> tuple[int, int]:
-    """Least and greatest m with 0 <= k0 + step * m < size (step != 0)."""
-    lo, hi = -k0, size - 1 - k0
-    if step < 0:
-        lo, hi = hi, lo
-    return -(-lo // step), hi // step
+def _line(a: int, b: int, lad1: range, lad2: range):
+    """The solution line of a*u + b*v = r on lad1 x lad2, for every r at once.
+
+    Returns None when a scaled coefficient A = a * lad1.step or
+    B = b * lad2.step is 0, else (lad2, base, g, s, t, p, w): with i and j
+    the indices of u in lad1 and v in the returned lad2, and k = (r - base) / g,
+    the solutions are (i, j) = (s*k + p*m, t*k + w*m) for integer m, none
+    unless g divides r - base.  lad2 comes back reversed when A and B have
+    the same sign, so that the steps p and w are both positive: u and v then
+    both move forward along their ladders as m grows.
+    """
+    A, B = a * lad1.step, b * lad2.step
+    if A == 0 or B == 0:
+        return None
+    if (A > 0) == (B > 0):
+        lad2, B = lad2[::-1], -B
+    g, s, t = ext_gcd(A, B)
+    return lad2, a * lad1.start + b * lad2.start, g, s, t, abs(B) // g, abs(A) // g
 
 
-def _solve2(a: int, b: int, r: int, lad1: range, lad2: range, gcd=None):
+def _solve2(a: int, b: int, r: int, lad1: range, lad2: range, line=None):
     """Pairs (u, v) in lad1 x lad2 with a*u + b*v = r, in ascending order.
 
     Returns None, or (grid, (us, vs)) with non-empty ranges us and vs: the
     pairs are product(us, vs) when grid is true and zip(us, vs) otherwise.
-    Writing u and v by their ladder indices keeps the equation linear, so
-    one extended gcd gives every solution and the box clips it.  A caller
-    that varies only r may pass that gcd,
-    ext_gcd(a * lad1.step, b * lad2.step), to skip recomputing it.
+    Off the axes the pairs are the span of _line's solution line inside the
+    box, sliced out of the ladders; a caller that varies only r may pass
+    that line, _line(a, b, lad1, lad2), to skip recomputing it.
     """
     if not lad1 or not lad2:
         return None
-    r -= a * lad1.start + b * lad2.start
-    a *= lad1.step
-    b *= lad2.step
-    if a == 0 or b == 0:
+    if (line := line or _line(a, b, lad1, lad2)) is None:  # a or b scales to 0
+        r -= a * lad1.start + b * lad2.start
+        a *= lad1.step
+        b *= lad2.step
         if a == b == 0:
             return (True, (lad1, lad2)) if r == 0 else None
         k, rem = divmod(r, a or b)
         if rem or not 0 <= k < len(lad1 if a else lad2):
             return None
         return True, ((lad1[k : k + 1], lad2) if a else (lad1, lad2[k : k + 1]))
-    g, s, t = gcd or ext_gcd(a, b)
-    if r % g:
+    lad2, base, g, s, t, p, w = line
+    k, rem = divmod(r - base, g)
+    if rem:
         return None
-    # indices (s*r/g + p*m, t*r/g + w*m); p > 0 so u ascends with m
-    p, w = b // g, -a // g
-    if p < 0:
-        p, w = -p, -w
-    k1, k2 = s * (r // g), t * (r // g)
-    lo1, hi1 = _index_span(k1, p, len(lad1))
-    lo2, hi2 = _index_span(k2, w, len(lad2))
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
+    i, j = s * k, t * k
+    lo = max(-(i // p), -(j // w))
+    hi = min((len(lad1) - 1 - i) // p, (len(lad2) - 1 - j) // w)
     if lo > hi:
         return None
-    count = hi - lo + 1
-    u0, du = lad1.start + lad1.step * (k1 + p * lo), lad1.step * p
-    v0, dv = lad2.start + lad2.step * (k2 + w * lo), lad2.step * w
-    return False, (range(u0, u0 + du * count, du), range(v0, v0 + dv * count, dv))
+    return False, (lad1[i + p * lo : i + p * hi + 1 : p], lad2[j + w * lo : j + w * hi + 1 : w])
 
 
 def _pairs(solution):
@@ -296,12 +301,12 @@ def _completions(c, last):
     """(head, solution) for every head with solutions: head runs over the
     ladders of the last row's first n - 2 entries in lexicographic order,
     and solution solves <c, head + (v_{n-1}, v_n)> = 1 on the last two.
-    Only the right-hand side depends on head, so one extended gcd serves all.
+    Only the right-hand side depends on head, so one _line serves all.
     """
     a, b, lad1, lad2 = c[-2], c[-1], last[-2], last[-1]
-    gcd = ext_gcd(a * lad1.step, b * lad2.step)
+    line = _line(a, b, lad1, lad2)
     for head in product(*last[:-2]):
-        solution = _solve2(a, b, 1 - sum(map(mul, head, c)), lad1, lad2, gcd)
+        solution = _solve2(a, b, 1 - sum(map(mul, head, c)), lad1, lad2, line)
         if solution:
             yield head, solution
 
@@ -310,35 +315,22 @@ def _hits(c, last) -> int:
     """H(c): the number of last rows v in the ladders last with <v, c> = 1,
     the total size of _completions(c, last) without building it.
 
-    _solve2's index-space arithmetic is done once (one extended gcd); each
-    head then adds its span length hi - lo + 1.  When a scaled coefficient
+    Each head adds the length hi - lo + 1 of its span on the one _line of
+    the last two entries, as _solve2 clips it.  When a scaled coefficient
     of the last two entries is 0, the per-head solutions are summed instead.
     """
-    a, b, lad1, lad2 = c[-2], c[-1], last[-2], last[-1]
-    a1, b1 = a * lad1.step, b * lad2.step
-    if a1 == 0 or b1 == 0:
+    line = _line(c[-2], c[-1], last[-2], last[-1])
+    if line is None:
         return sum(_size(sol) for _, sol in _completions(c, last))
-    top1, top2 = len(lad1) - 1, len(lad2) - 1
-    if top1 < 0 or top2 < 0:
-        return 0
-    g, s, t = ext_gcd(a1, b1)
-    # as in _solve2, the solutions' ladder indices are (s*k + p*m, t*k + w*m)
-    # with k = rhs / g and p > 0; at w < 0, index i of lad2 is counted from
-    # its top as top2 - i, so that its step -w is positive as well
-    p, w = b1 // g, -a1 // g
-    if p < 0:
-        p, w = -p, -w
-    off = 0
-    if w < 0:
-        off, t, w = top2, -t, -w
-    base, total = 1 - a * lad1.start - b * lad2.start, 0
+    lad2, base, g, s, t, p, w = line
+    top1, top2, rhs, total = len(last[-2]) - 1, len(lad2) - 1, 1 - base, 0
     # <head, c> for every head, in order, from each entry's multiples of its coefficient
     dots = map(sum, product(*([v * x for x in lad] for v, lad in zip(c, last[:-2]))))
     for dot in dots:
-        k, rem = divmod(base - dot, g)
+        k, rem = divmod(rhs - dot, g)
         if rem:
             continue
-        k1, k2 = s * k, off + t * k
+        k1, k2 = s * k, t * k
         lo, lo2, hi, hi2 = -(k1 // p), -(k2 // w), (top1 - k1) // p, (top2 - k2) // w
         if lo2 > lo:
             lo = lo2
@@ -528,9 +520,7 @@ def _least_lift(lads, cap: int) -> int | None:
                     rest = _cut(rest, best - 1)
                     lad1, lad2 = rest[0]
             continue
-        for first in firsts:
-            if math.gcd(*first) != 1:
-                continue
+        for first in firsts:  # _walk yields nothing under a first row not primitive
             below = [[range(v, v + 1) for v in first]] + rest
             for rows, head, solution in _walk(below):
                 # a walk's ladders stay as cut when it began, so check against best

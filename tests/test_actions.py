@@ -187,7 +187,7 @@ class TestShellStorage:
         assert actions._shell(1, 1) == (((1,),),)
         assert actions._shell(1, 2) == actions._shell(1, 3) == ()
 
-    def test_n1_records_and_budget_message(self):
+    def test_n1_records(self):
         assert dist_affine(PointA(5, (2,)), PointA(5, (2,)), 3) == DistanceRecord((2,), (2,), 5, 1, ((1,),), 3, 0.0)
         assert dist_affine(PointA(5, (1,)), PointA(5, (2,)), 3) == DistanceRecord((1,), (2,), 5, None, None, 3, None)
         assert dist_projective(PointP(5, (1,)), PointP(5, (2,)), 3) == DistanceRecord((1,), (1,), 5, 1, ((1,),), 3, 0.0)
@@ -198,9 +198,15 @@ class TestShellStorage:
                 "space": space, "n": 1, "q": q, "size": 1, "pairs": 1,
                 "diameter_norm": 1, "quantile_norms": ones, "exponents": zeros,
             }
-        with pytest.raises(BudgetExceeded) as exc:
-            diameter_profile("A", 1, 5, 3)
-        assert str(exc.value) == "pair ((1,), (2,)) unresolved within norm 3"
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 12])
+    @pytest.mark.parametrize("t_max", [1, 3, 1000])
+    def test_n1_affine_diameter_is_refused_not_a_budget_failure(self, q, t_max):
+        # SL_1(Z) = {1} fixes the phi(q) >= 2 points: no t_max resolves a pair
+        assert len(affine_points(1, q)) >= 2
+        assert dist_affine(PointA(q, (1,)), PointA(q, (-1,)), t_max).min_max_norm is None
+        with pytest.raises(InvalidInput, match=r"SL_1\(Z\) = \{1\} fixes every point"):
+            diameter_profile("A", 1, q, t_max)
 
 
 class TestRowImages:

@@ -376,6 +376,17 @@ class TestSweeps:
         assert code == 0
         assert len(calls) <= math.ceil(math.log2(200)) + 1
 
+    def test_skewed_sweep_at_t0_counts_the_empty_box(self, capsys):
+        # as sweep counts does at T = 0; a negative T stays a flagged point
+        code, out, _ = run(["sweep", "skewed", "--n", "2", "--T=-1..1"], capsys)
+        assert code == 0
+        negative, zero, one = (r["results"] for r in records_from(out))
+        assert negative["flagged"] and "positive caps" in negative["error"]
+        assert zero == {"T": 0, "count": 0, "normalized": None}
+        assert one == {"T": 1, "count": 20, "normalized": 20.0}
+        code, out, _ = run(["sweep", "counts", "--n", "2", "--T", "0"], capsys)
+        assert records_from(out)[0]["results"] == {"T": 0, "count": 0, "ratio": None}
+
     def test_each_record_times_its_own_point(self, capsys, monkeypatch):
         # a clock that advances 0.25 s per read: each point takes one step
         ticks = itertools.count()
@@ -528,6 +539,20 @@ class TestSweeps:
         assert code == 0
         rows = records_from(out)
         assert [r["results"]["diameter_norm"] for r in rows] == [1, 1, 2]
+
+    def test_n1_affine_diameter_sweep_flags_invalid_input_not_budget(self, capsys):
+        # q = 2 has one point; above it SL_1(Z) = {1} joins no two points
+        code, out, _ = run(["sweep", "diameter", "--space", "A", "--n", "1", "--q", "2..4"], capsys)
+        assert code == 0
+        two, *rest = (r["results"] for r in records_from(out))
+        assert two["diameter_norm"] == 1
+        for q, results in zip((3, 4), rest):
+            assert results == {
+                "error": f"SL_1(Z) = {{1}} fixes every point, so the affine line mod {q} has no diameter",
+                "flagged": True,
+            }
+        code, out, _ = run(["sweep", "diameter", "--space", "P", "--n", "1", "--q", "3"], capsys)
+        assert records_from(out)[0]["results"]["diameter_norm"] == 1
 
     def test_diameter_sweep_n_below_one_is_flagged(self, capsys):
         code, out, err = run(["sweep", "diameter", "--space", "A", "--n", "0", "--q", "2"], capsys)

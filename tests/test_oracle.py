@@ -825,3 +825,42 @@ class TestHits:
     def test_matches_per_head_solutions(self, case):
         c, last = case
         assert oracle._hits(c, last) == sum(oracle._size(s) for _, s in oracle._completions(c, last))
+
+
+@st.composite
+def small_ladders(draw):
+    """_ladder(center, q, cap) at q = 0 or 2..7 and cap 1..8: often empty or
+    of length 1 when q > cap."""
+    q = draw(st.sampled_from([0, 2, 3, 4, 5, 6, 7]))
+    return oracle._ladder(draw(st.integers(0, max(q - 1, 0))), q, draw(st.integers(1, 8)))
+
+
+@st.composite
+def small_hyperplanes(draw):
+    """(c, last): c of length 2..4 with entries in [-9, 9], and one ladder per entry."""
+    c = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=4))
+    return tuple(c), [draw(small_ladders()) for _ in c]
+
+
+class TestSolutionLine:
+    """_solve2 and _hits against brute force over the ladders.  Both read
+    _line, so TestHits, which checks one against the other, passes a wrong
+    line; these do not."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-40, 40), small_ladders(), small_ladders())
+    # A and B of one sign, so lad2 is walked reversed; then of opposite signs
+    @example(2, 3, 5, range(-4, 5), range(-4, 5))
+    @example(-2, 3, 1, oracle._ladder(1, 3, 8), oracle._ladder(2, 5, 8))
+    @example(3, 2, 6, range(-2, 3), oracle._ladder(2, 7, 1))  # an empty ladder
+    def test_solve2_lists_every_pair(self, a, b, r, lad1, lad2):
+        expected = [(u, v) for u, v in itertools.product(lad1, lad2) if a * u + b * v == r]
+        assert list(oracle._pairs(oracle._solve2(a, b, r, lad1, lad2))) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_hyperplanes())
+    @example(((1, 4, 6), [range(-3, 4), oracle._ladder(1, 2, 5), oracle._ladder(0, 3, 5)]))
+    def test_hits_counts_every_last_row(self, case):
+        c, last = case
+        expected = sum(1 for v in itertools.product(*last) if sum(map(operator.mul, v, c)) == 1)
+        assert oracle._hits(c, last) == expected
