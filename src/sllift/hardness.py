@@ -139,6 +139,8 @@ def small_p_factor_root(q: int, n: int, k: int) -> RootWitness | None:
     """
     if q < 2:
         raise InvalidInput(f"need q >= 2, got {q}")
+    if n < 1 or k < 1:
+        raise InvalidInput(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     best: RootWitness | None = None
     for p, m in factorize(q):
         if n % p == 0 or math.gcd(p - 1, n) <= 1:

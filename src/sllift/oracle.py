@@ -45,9 +45,8 @@ A norm shell (max norm exactly m, q = 0) at n = 2 is built from its face,
 the primitive rows with an entry +-m: each is a first row completed by any
 second row in the box, or a second row under a first row strictly inside
 it, two _solve2 calls per face row, and the shell is sorted into iter_sl
-order (docs/decisions.md).  At every other n it is the cap-m walk
-filtered per fixed part: one with an entry +-m keeps every solved pair,
-any other only the pairs with u or v = +-m (iter_shell).
+order (docs/decisions.md).  At every other n it is iter_sl at cap m,
+filtered to the matrices with an entry +-m (iter_shell).
 
 A minimal lift norm doubles a cap from the least value every entry
 reaches, and walks each cap once for its least lift (_least_lift):
@@ -297,35 +296,21 @@ def _cofactors(lads, weighted: bool = False):
                 yield weight, prefix + (r,), tuple(sum(map(mul, row, r)) for row in k)
 
 
-def _completions(c, last):
-    """(head, solution) for every head with solutions: head runs over the
-    ladders of the last row's first n - 2 entries in lexicographic order,
-    and solution solves <c, head + (v_{n-1}, v_n)> = 1 on the last two.
-    Only the right-hand side depends on head, so one _line serves all.
-    """
-    a, b, lad1, lad2 = c[-2], c[-1], last[-2], last[-1]
-    line = _line(a, b, lad1, lad2)
-    for head in product(*last[:-2]):
-        solution = _solve2(a, b, 1 - sum(map(mul, head, c)), lad1, lad2, line)
-        if solution:
-            yield head, solution
-
-
 def _hits(c, last) -> int:
     """H(c): the number of last rows v in the ladders last with <v, c> = 1,
-    the total size of _completions(c, last) without building it.
+    the total size of the solutions _walk lists under c, without listing them.
 
     Each head adds the length hi - lo + 1 of its span on the one _line of
     the last two entries, as _solve2 clips it.  When a scaled coefficient
-    of the last two entries is 0, the per-head solutions are summed instead.
+    of the last two entries is 0, each head's _solve2 result is sized instead.
     """
-    line = _line(c[-2], c[-1], last[-2], last[-1])
-    if line is None:
-        return sum(_size(sol) for _, sol in _completions(c, last))
-    lad2, base, g, s, t, p, w = line
-    top1, top2, rhs, total = len(last[-2]) - 1, len(lad2) - 1, 1 - base, 0
+    a, b, lad1 = c[-2], c[-1], last[-2]
     # <head, c> for every head, in order, from each entry's multiples of its coefficient
     dots = map(sum, product(*([v * x for x in lad] for v, lad in zip(c, last[:-2]))))
+    if (line := _line(a, b, lad1, last[-1])) is None:
+        return sum(_size(sol) for dot in dots if (sol := _solve2(a, b, 1 - dot, lad1, last[-1])))
+    lad2, base, g, s, t, p, w = line
+    top1, top2, rhs, total = len(lad1) - 1, len(lad2) - 1, 1 - base, 0
     for dot in dots:
         k, rem = divmod(rhs - dot, g)
         if rem:
@@ -344,15 +329,21 @@ def _hits(c, last) -> int:
 def _walk(lads):
     """(rows, head, solution) for every fixed part of the ladders lads (one
     row of ladders per matrix row) with solutions, in lexicographic order:
-    each pair of solution completes the matrix rows + (head + pair,)."""
+    each pair of solution completes the matrix rows + (head + pair,).
+    The one loop that lists solutions: only the right-hand side
+    1 - <head, c> depends on head, so one _line per c serves every head."""
     n, last = len(lads), lads[-1]
     if n == 1:
         if 1 in last[0]:
             yield (), (), (True, (range(1, 2),))
         return
+    lad1, lad2 = last[-2], last[-1]
     for _, rows, c in _cofactors(lads):
-        for head, solution in _completions(c, last):
-            yield rows, head, solution
+        a, b = c[-2], c[-1]
+        line = _line(a, b, lad1, lad2)
+        for head in product(*last[:-2]):
+            if solution := _solve2(a, b, 1 - sum(map(mul, head, c)), lad1, lad2, line):
+                yield rows, head, solution
 
 
 def _face2(m: int) -> list:
@@ -371,22 +362,6 @@ def _face2(m: int) -> list:
         shell += [((a, b), row) for row in _pairs(_solve2(-b, a, 1, box, box))]
         shell += [(row, (a, b)) for row in _pairs(_solve2(b, -a, 1, inner, inner))]
     return shell
-
-
-def _shell_walk(spec: EnumSpec):
-    """(rows, head, pairs) for every fixed part of _walk (q = 0, every cap m,
-    n != 2), in _walk's order, with pairs its ascending completions of max
-    norm exactly m: all of them when the fixed part has an entry +-m, else
-    those with u or v = +-m.  The rows' face test is made once per rows,
-    which _walk yields once per (prefix, row n - 1)."""
-    m, seen, face = spec.caps[0], None, False
-    for rows, head, solution in _walk(_ladders(spec)):
-        if rows is not seen:
-            seen, face = rows, any(m in row or -m in row for row in rows)
-        if face or m in head or -m in head:
-            yield rows, head, _pairs(solution)
-        else:
-            yield rows, head, [p for p in _pairs(solution) if m in p or -m in p]
 
 
 @cache
@@ -453,23 +428,23 @@ def iter_shell(n: int, m: int):
     """Every SL_n(Z) matrix of max norm exactly m, in iter_sl order.
 
     The shell is exactly iter_sl at cap m less iter_sl at cap m - 1: at
-    n = 2 built from its face (_face2) and sorted, at every other n the
-    cap-m walk filtered to what reaches norm m (_shell_walk).  The budget is
+    n = 2 built from its face (_face2) and sorted, at every other n iter_sl
+    at cap m filtered to the matrices with an entry +-m.  The budget is
     checked eagerly on what the builder walks: at n = 2 its 8m face rows,
-    otherwise the cap-m box, as iter_sl checks it.
+    otherwise the cap-m box, by iter_sl itself.
     """
     spec = EnumSpec(n=n, caps=(m,) * n)
     if n == 2:  # iter_sl order is the lexicographic order of the row tuples
         _check_size(8 * m)
         return iter(sorted(_face2(m)))
-    _check_budget(spec)
-    return (rows + (head + pair,) for rows, head, pairs in _shell_walk(spec) for pair in pairs)
+    return (g for g in iter_sl(spec) if m in map(abs, chain(*g)))
 
 
+# No caller in src; kept because perfbench/spans.py wraps it by name (BOUNDARIES).
 def exists_sl(spec: EnumSpec) -> bool:
-    """Whether at least one matching matrix exists."""
-    _check_budget(spec)
-    return next(_walk(_ladders(spec)), None) is not None
+    """Whether at least one matching matrix exists: iter_sl's first, so the
+    budget is iter_sl's and the walk stops at its first solution."""
+    return next(iter_sl(spec), None) is not None
 
 
 def _levels(lads):

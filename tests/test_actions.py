@@ -23,6 +23,7 @@ from sllift.actions import (
     units_mod,
 )
 from sllift.errors import BudgetExceeded, InvalidInput
+from sllift.intmat import IntMatrix, det
 from sllift.oracle import EnumSpec, iter_sl
 
 
@@ -115,6 +116,16 @@ class TestIterShell:
     def test_matches_naive_shell(self, n, m):
         assert list(oracle.iter_shell(n, m)) == naive_shell(n, m)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_n3_shell_matches_the_counts(self, m):
+        # naive_shell filters the same walk, so check the shell against the
+        # counts instead, which _hits sums without listing a matrix
+        shell = list(oracle.iter_shell(3, m))
+        assert all(g < h for g, h in zip(shell, shell[1:]))
+        assert all(det(IntMatrix(g)) == 1 and max(map(abs, chain(*g))) == m for g in shell)
+        (_, below, _), (_, within, _) = oracle.norm_count_table(3, [m - 1, m])
+        assert len(shell) == within - below
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(1, 25))
     def test_shells_merge_to_iter_sl(self, t):
@@ -159,8 +170,8 @@ class TestIterShell:
         calls = []
         real = oracle._solve2
         monkeypatch.setattr(oracle, "_solve2", lambda *a: calls.append(a[:2]) or real(*a))
-        # and the cap-m walk, filtered to its rim at other n, never runs
-        monkeypatch.setattr(oracle, "_shell_walk", lambda *a: pytest.fail("_shell_walk called at n = 2"))
+        # and iter_sl over the cap-m box, which other n filter, never runs
+        monkeypatch.setattr(oracle, "iter_sl", lambda *a: pytest.fail("iter_sl called at n = 2"))
         for m in range(1, 13):
             calls.clear()
             list(oracle.iter_shell(2, m))

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import signal
+import stat
 import subprocess
 import sys
 
@@ -701,6 +702,17 @@ class TestNoTracebackEscapes:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"usage error: --jsonl {tmp_path} is not a file in an existing directory\n"
+
+    @pytest.mark.parametrize("flag", ["--csv", "--jsonl"])
+    def test_output_at_a_fifo_is_refused_before_the_sweep(self, tmp_path, capsys, flag):
+        # the final rename would replace the FIFO with a regular file
+        path = str(tmp_path / "out")
+        os.mkfifo(path)
+        code, out, err = run(["sweep", "counts", "--n", "2", "--T", "1..2", flag, path], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: {flag} {path} is not a regular file\n"
+        assert stat.S_ISFIFO(os.stat(path).st_mode)
 
     def test_csv_and_jsonl_at_one_file_are_refused_before_the_sweep(self, tmp_path, capsys):
         # the second write would silently replace the first

@@ -103,6 +103,13 @@ class TestSmallPFactorRoot:
     def test_power_of_two(self):
         assert small_p_factor_root(1024, 2, 2) is None
 
+    @pytest.mark.parametrize("n,k", [(2, -1), (2, 0), (-3, 2), (0, 2)])
+    def test_n_and_k_below_one_are_refused(self, n, k):
+        # at k = -1, q = 637 = 7^2 * 13 would give the 49 | 637 witness,
+        # which p^m < q^(1/k) excludes; n = -3 would reach nth_roots
+        with pytest.raises(InvalidInput, match=f"need n >= 1 and k >= 1, got n={n}, k={k}"):
+            small_p_factor_root(637, n, k)
+
     def test_guarantee_over_sweep(self):
         for q in range(6, 400):
             w = small_p_factor_root(q, 2, 2)

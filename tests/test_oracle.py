@@ -824,7 +824,13 @@ class TestHits:
     @example(((2, -4, 6, 3), [oracle._ladder(x, 7, 1) for x in (1, 0, 0, 3)]))
     def test_matches_per_head_solutions(self, case):
         c, last = case
-        assert oracle._hits(c, last) == sum(oracle._size(s) for _, s in oracle._completions(c, last))
+        # each head solved on its own, with no shared line
+        a, b, lad1, lad2 = c[-2], c[-1], last[-2], last[-1]
+        solutions = (
+            oracle._solve2(a, b, 1 - sum(v * x for v, x in zip(head, c)), lad1, lad2)
+            for head in itertools.product(*last[:-2])
+        )
+        assert oracle._hits(c, last) == sum(oracle._size(s) for s in solutions if s)
 
 
 @st.composite
