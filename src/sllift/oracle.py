@@ -68,7 +68,7 @@ from operator import mul
 from . import intmat
 from .errors import BudgetExceeded, InvalidInput
 from .intmat import IntMatrix
-from .residue import ext_gcd, small_primes
+from .residue import ext_gcd, factorize, small_primes
 
 DEFAULT_BUDGET = 10**9
 
@@ -156,10 +156,6 @@ def _check_size(size: int) -> None:
     limit = current_budget()
     if size > limit:
         raise BudgetExceeded(f"candidate space {size} exceeds budget {limit}")
-
-
-def _check_budget(spec: EnumSpec) -> None:
-    _check_size(candidate_count(spec))
 
 
 def _cofactor_map(prefix) -> tuple[tuple[int, ...], ...]:
@@ -389,14 +385,34 @@ def _count_sl2(t1: int, t2: int) -> int:
     return 4 + 16 * sum(mu[e] * (t1 // e) * (t2 // e) for e in range(1, top + 1))
 
 
+def _count_size(caps) -> int:
+    """What a count at q = 0 is budgeted, in closed form from its caps.
+
+    At n <= 2 it is candidate_count's fixed parts, the box of every row
+    but the last, so the closed form refuses what the kernel would, with
+    the same message.  At n >= 3 it bounds the weighted walk's steps: the
+    cofactor vectors _cofactors forms (C(t_0 + n, n) sorted non-negative
+    first rows, the middle rows' boxes, the half of row n - 1's box after
+    the zero row), each read by at most one _hits over every head of the
+    last row.
+    """
+    n = len(caps)
+    boxes = [(2 * t + 1) ** n for t in caps]
+    if n <= 2:
+        return math.prod(boxes[:-1])
+    walked = math.comb(caps[0] + n, n) * math.prod(boxes[1:-2]) * (boxes[-2] // 2)
+    return walked * (1 + (2 * caps[-1] + 1) ** (n - 2))
+
+
 def count_sl(spec: EnumSpec) -> int:
     """Exact count of gamma in SL_n(Z) within the caps (and congruence).
 
     At n >= 3 the sum of weight * H(c) (module docstring), with H memoised
-    for this call only.
+    for this call only.  Budgeted by _count_size at q = 0, otherwise by
+    candidate_count.
     """
-    _check_budget(spec)
     n, q = spec.n, spec.q
+    _check_size(candidate_count(spec) if q else _count_size(spec.caps))
     if n == 2 and q == 0:
         return _count_sl2(*spec.caps)
     if n <= 2:  # each c comes once and has one head: nothing to share
@@ -416,7 +432,7 @@ def iter_sl(spec: EnumSpec):
 
     The budget check happens eagerly, before the first matrix is produced.
     """
-    _check_budget(spec)
+    _check_size(candidate_count(spec))
     return (
         rows + (head + pair,)
         for rows, head, sol in _walk(_ladders(spec))
@@ -546,8 +562,9 @@ def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     """Rows (T, exact count within norm T, count / T^(n^2 - n)).
 
     The thresholds are budgeted once, at the largest (if > 0), before any
-    count.  At n = 2, one or many, they are then read off one cached totient
-    prefix (_n2_sieve); otherwise each distinct threshold is one count_sl.
+    count, as count_sl budgets it (_count_size).  At n = 2, one or many, they
+    are then read off one cached totient prefix (_n2_sieve); otherwise each
+    distinct threshold is one count_sl.
     """
     t_list = [int(t) for t in t_list]
     if any(t < 0 for t in t_list):
@@ -555,9 +572,20 @@ def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     exponent = n * n - n
     t_max = max(t_list, default=0)
     if t_max > 0:
-        _check_budget(EnumSpec(n=n, caps=(t_max,) * n))
+        _check_size(_count_size((t_max,) * n))
     if n == 2:
         counts = _n2_sieve(1 << max(8, t_max.bit_length()))[1]
     else:
         counts = {t: count_sl(EnumSpec(n=n, caps=(t,) * n)) if t else 0 for t in set(t_list)}
     return [(t, counts[t], counts[t] / t**exponent if t else None) for t in t_list]
+
+
+def sl_order(n: int, q: int) -> int:
+    """|SL_n(Z/qZ)| = q^(n^2 - 1) prod_{p | q} prod_{k = 2..n} (1 - p^-k), exactly."""
+    if n < 1 or q < 1:
+        raise InvalidInput(f"need n >= 1 and q >= 1, got n={n}, q={q}")
+    order = q ** (n * n - 1)
+    for p, _ in factorize(q):  # p^(n(n+1)/2 - 1) divides p^(n^2 - 1): every step is exact
+        for k in range(2, n + 1):
+            order = order // p**k * (p**k - 1)
+    return order

@@ -64,8 +64,12 @@ def dumps(record: dict) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write via a sibling temp file and rename, so readers never see a torn file.
+
+    A symlink is written through: its target is replaced and the link kept.
+    """
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:

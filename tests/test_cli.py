@@ -714,6 +714,19 @@ class TestNoTracebackEscapes:
         assert err == f"usage error: {flag} {path} is not a regular file\n"
         assert stat.S_ISFIFO(os.stat(path).st_mode)
 
+    def test_output_at_a_symlink_is_written_through_the_link(self, tmp_path, capsys):
+        # a rename onto the link itself would replace it with a regular file and leave the target as it was
+        (tmp_path / "sub").mkdir()
+        target, link = tmp_path / "sub" / "target", tmp_path / "link"
+        target.write_text("old")
+        link.symlink_to(target)
+        code, out, _ = run(["sweep", "counts", "--n", "2", "--T", "1..2", "--jsonl", str(link)], capsys)
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == out
+        assert [r["results"]["count"] for r in records_from(out)] == [20, 52]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link", "sub", "target"]
+
     def test_csv_and_jsonl_at_one_file_are_refused_before_the_sweep(self, tmp_path, capsys):
         # the second write would silently replace the first
         (tmp_path / "sub").mkdir()

@@ -524,6 +524,105 @@ class TestSkewedCounts:
             assert exists_sl(spec) == (count_sl(spec) > 0)
 
 
+class _Walked(Exception):
+    pass
+
+
+def _walked(*args):
+    raise _Walked
+
+
+def counted_walk(monkeypatch):
+    """Steps of the weighted walk, counted by wrapping it: one per cofactor
+    vector _cofactors yields, and one per head each _hits call reads."""
+    steps = []
+    cofactors, hits = oracle._cofactors, oracle._hits
+
+    def counted_cofactors(lads, weighted=False):
+        for item in cofactors(lads, weighted):
+            steps.append(1)
+            yield item
+
+    def counted_hits(c, last):
+        steps.append(math.prod(map(len, last[:-2])))
+        return hits(c, last)
+
+    monkeypatch.setattr(oracle, "_cofactors", counted_cofactors)
+    monkeypatch.setattr(oracle, "_hits", counted_hits)
+    return steps
+
+
+class TestCountMeters:
+    def test_n2_meter_is_the_kernel_fixed_parts(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            caps = (rng.randint(1, 10**6), rng.randint(1, 10**6))
+            assert oracle._count_size(caps) == candidate_count(EnumSpec(n=2, caps=caps)), caps
+
+    @pytest.mark.parametrize(
+        "caps",
+        list(itertools.product((1, 2, 3), repeat=3)) + [(1, 1, 1, 1), (3, 1, 1, 1), (1, 1, 1, 3), (2, 1, 1, 2)],
+    )
+    def test_weighted_meter_bounds_the_walk(self, monkeypatch, caps):
+        spec = EnumSpec(n=len(caps), caps=caps)
+        steps = counted_walk(monkeypatch)
+        assert count_sl(spec) == reference_count(spec)
+        assert 0 < sum(steps) <= oracle._count_size(caps)
+
+    def test_n3_at_t10_passes_the_default_gate(self, monkeypatch):
+        # the box product (21^7 = 1.8e9) would refuse it; the walk's meter
+        # is C(13, 3) first rows, half of the 21^3 second rows, and 1 + 21
+        # steps for each cofactor vector
+        monkeypatch.delenv("SLLIFT_BUDGET", raising=False)
+        spec = EnumSpec(n=3, caps=(10, 10, 10))
+        size = math.comb(13, 3) * (21**3 // 2) * (1 + 21)
+        assert oracle._count_size(spec.caps) == size
+        assert candidate_count(spec) > current_budget() > size
+        monkeypatch.setattr(oracle, "_cofactors", _walked)
+        for count in (count_sl, lambda s: norm_count_table(3, [10])):
+            with pytest.raises(_Walked):
+                count(spec)
+
+    def test_n3_at_t10_refused_one_below_its_meter_before_the_walk(self, monkeypatch):
+        size = math.comb(13, 3) * (21**3 // 2) * (1 + 21)
+        monkeypatch.setenv("SLLIFT_BUDGET", str(size - 1))
+        monkeypatch.setattr(oracle, "_ladders", _walked)
+        monkeypatch.setattr(oracle, "_cofactors", _walked)
+        for count in (lambda: count_sl(EnumSpec(n=3, caps=(10, 10, 10))), lambda: norm_count_table(3, [1, 10])):
+            with pytest.raises(BudgetExceeded) as exc:
+                count()
+            assert str(exc.value) == f"candidate space {size} exceeds budget {size - 1}"
+
+
+def _sl_order_by_scan(n, q):
+    """|SL_n(Z/qZ)| by scanning every n x n matrix mod q."""
+    return sum(
+        1
+        for flat in itertools.product(range(q), repeat=n * n)
+        if _det([flat[i * n : (i + 1) * n] for i in range(n)]) % q == 1 % q
+    )
+
+
+class TestSlOrder:
+    @pytest.mark.parametrize("n, q", [(2, q) for q in range(1, 13)] + [(3, q) for q in range(1, 5)])
+    def test_matches_brute_force(self, n, q):
+        order = oracle.sl_order(n, q)
+        assert type(order) is int
+        assert order == _sl_order_by_scan(n, q)
+
+    def test_closed_forms(self):
+        p = 10007
+        assert oracle.sl_order(2, p) == p * (p * p - 1)
+        assert oracle.sl_order(3, p) == p**3 * (p**2 - 1) * (p**3 - 1)
+        assert oracle.sl_order(1, 12) == 1
+        assert oracle.sl_order(4, 1) == 1
+
+    @pytest.mark.parametrize("n, q", [(0, 5), (2, 0), (-1, 3), (2, -4)])
+    def test_needs_positive_n_and_q(self, n, q):
+        with pytest.raises(InvalidInput, match="need n >= 1 and q >= 1"):
+            oracle.sl_order(n, q)
+
+
 @st.composite
 def small_specs(draw):
     """n = 2 with caps <= 6 or n = 3 with caps <= 1, with or without a congruence."""

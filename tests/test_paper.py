@@ -22,7 +22,6 @@ is close to sqrt(pi^2 / 192 * prod_{p | q} (1 - p^-2)) q^{3/2}.
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -84,19 +83,13 @@ def test_upper_claim_constant_at_n2(n2_certificates):
     assert worst <= 0.25
 
 
-def prime_divisors(q: int) -> list[int]:
-    return [p for p in range(2, q + 1) if q % p == 0 and all(p % d for d in range(2, p))]
-
-
 def test_almost_all_claim_n2_counting_scale_is_q_to_three_halves():
     # the least T with 2 N_2(T) >= |SL_2(Z/qZ)| is a lower bound on the median
     # lift norm; it sits within 0.5% of the q^{3/2} law (0.13% at worst, q = 210)
     moduli = (101, 128, 210, 512, 997, 1000, 1024, 1331, 1700)
     table = oracle.norm_count_table(2, range(1, 15811))
     for q in moduli:
-        local = math.prod(1 - Fraction(1, p * p) for p in prime_divisors(q))
-        order = q**3 * local
-        assert order.denominator == 1
-        t = next(t for t, count, _ in table if 2 * count >= order.numerator)
-        predicted = math.sqrt(math.pi**2 / 192 * local) * q**1.5
+        order = oracle.sl_order(2, q)
+        t = next(t for t, count, _ in table if 2 * count >= order)
+        predicted = math.sqrt(math.pi**2 / 192 * order / q**3) * q**1.5
         assert abs(t / predicted - 1) < 0.005, (q, t, predicted)
