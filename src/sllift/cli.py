@@ -187,7 +187,8 @@ def _hard_results(params: dict, seed: int) -> dict:
                 "t_max": t_max,
                 "min_lift_norm": minimum,
                 "bound": bound,
-                "verified": minimum is not None and minimum >= bound,
+                # no lift of norm <= t_max proves L >= t_max + 1
+                "verified": (minimum if minimum is not None else t_max + 1) >= bound,
             }
     return results
 

@@ -10,14 +10,26 @@ this module is the informational operator-norm estimate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from .errors import BadShape, DependentRows, NotInvertible, NotSquare
+from .errors import BadShape, DependentRows, InvalidInput, NotInvertible, NotSquare
 from .residue import ext_gcd
 
 # Power iteration in op_norm_estimate stops at this relative change or count.
 _OP_NORM_TOL = 1e-9
 _OP_NORM_MAX_ITER = 10000
+
+
+def as_ints(values) -> tuple[int, ...]:
+    """values as a tuple of ints, by operator.index, so ints and bools pass
+    and a float or a string is refused, not truncated: InvalidInput names it."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(type(v), "__index__")), values)
+        raise InvalidInput(f"need integers, got {bad!r}") from None
 
 
 class IntMatrix:
@@ -26,7 +38,7 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(map(as_ints, rows))
         if not rows or not rows[0]:
             raise BadShape("matrix must have positive dimensions")
         width = len(rows[0])
@@ -53,7 +65,7 @@ class IntMatrix:
 
     def with_row(self, v) -> "IntMatrix":
         """New matrix with v appended as the last row."""
-        return IntMatrix(self.rows + (tuple(int(x) for x in v),))
+        return IntMatrix(self.rows + (as_ints(v),))
 
     def max_norm(self) -> int:
         return max(abs(x) for r in self.rows for x in r)
@@ -179,6 +191,8 @@ def adjugate_mod(m: IntMatrix, q: int) -> IntMatrix:
     n = m.nrows
     if n != m.ncols:
         raise NotSquare(f"{n}x{m.ncols} matrix")
+    if q < 1:
+        raise InvalidInput(f"need q >= 1, got {q}")
     return IntMatrix(_eliminate_mod(m.rows, q, IntMatrix.identity(n).rows))
 
 
@@ -211,11 +225,13 @@ def solve_mod(a: IntMatrix, w, q: int) -> tuple[int, ...]:
     mod q and in particular vanishes whenever that determinant does.
     """
     n = a.nrows
-    w = tuple(int(x) for x in w)
+    w = as_ints(w)
     if len(w) != n:
         raise BadShape(f"vector length {len(w)} vs matrix size {n}")
     if n != a.ncols:
         raise NotSquare(f"{n}x{a.ncols} matrix")
+    if q < 1:
+        raise InvalidInput(f"need q >= 1, got {q}")
     return tuple(y for (y,) in _eliminate_mod(tuple(zip(*a.rows)), q, [(y,) for y in w]))
 
 
@@ -233,7 +249,7 @@ def size_reduce(v, b: IntMatrix, c) -> tuple[int, ...]:
     to the rows has length at most 1 (as in unimodular completion), its max
     norm is at most (n/2) max_norm(B) + 1.  Arithmetic is exact integer.
     """
-    v = tuple(int(x) for x in v)
+    v = as_ints(v)
     n = b.ncols
     if len(v) != n or b.nrows != n - 1 or len(c) != n:
         raise BadShape(f"need v, c of length n and B (n-1) x n, got {len(v)}, {len(c)}, {b.nrows}x{n}")

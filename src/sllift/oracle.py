@@ -12,11 +12,12 @@ as only the right-hand side depends on head.  Its solutions are none, one
 arithmetic progression, or the full grid when both cofactors vanish, always
 in ascending (v_{n-1}, v_n) order, so matrices come out in lexicographic
 row-major order.
-The cofactors are linear in row n - 1: c = K(P) r, with P the first n - 2
-rows and r row n - 1.  The walk builds the map K once per prefix P (n
-maximal_minors calls) and gets each r's c from n dot products.  Two cases
-build no map: at n = 3, c is the cross product of the first row and r,
-written out, and at n = 2 the prefix is empty and c = (-r_1, r_0).
+At n = 2 c = (-r_1, r_0) for the first row r, and the only head is empty.
+Above, the cofactors are linear in row n - 1: c = K(P) r, with P the
+first n - 2 rows and r row n - 1.  The walk builds the map K once per
+prefix P (n maximal_minors calls) and gets each r's c from n dot
+products; at n = 3, c is the cross product of the first row and r,
+written out.
 Entries constrained mod q range over their residue ladders x_ij + qZ
 intersected with [-cap, cap].
 
@@ -49,10 +50,10 @@ order (docs/decisions.md).  At every other n it is iter_sl at cap m,
 filtered to the matrices with an entry +-m (iter_shell).
 
 A minimal lift norm doubles a cap from the least value every entry
-reaches, and walks each cap once for its least lift (_least_lift):
-primitive first rows come in increasing max norm, each is completed in
-ladders cut below the best lift found, and the walk stops at the first
-row whose norm reaches it.  So the first cap with a lift gives the exact
+reaches, and walks each cap once for its least lift (_least_lift): the
+first rows come in levels of increasing max norm, each level is one _walk
+in ladders cut below the best lift found, and the walk stops at the first
+level whose norm reaches it.  So the first cap with a lift gives the exact
 minimum (docs/decisions.md).
 """
 
@@ -99,7 +100,7 @@ class EnumSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidInput(f"need n >= 1, got {self.n}")
-        caps = tuple(int(c) for c in self.caps)
+        caps = intmat.as_ints(self.caps)
         if len(caps) != self.n or any(c < 1 for c in caps):
             raise InvalidInput(f"need {self.n} positive caps, got {self.caps}")
         object.__setattr__(self, "caps", caps)
@@ -109,7 +110,7 @@ class EnumSpec:
             raise InvalidInput("congruence needs both q > 0 and a target x")
         if self.x is not None:
             rows = self.x.rows if isinstance(self.x, IntMatrix) else self.x
-            rows = tuple(tuple(int(v) % self.q for v in r) for r in rows)
+            rows = tuple(tuple(v % self.q for v in intmat.as_ints(r)) for r in rows)
             if len(rows) != self.n or any(len(r) != self.n for r in rows):
                 raise InvalidInput("target x must be n x n")
             if intmat.det(IntMatrix(rows)) % self.q != 1 % self.q:
@@ -255,22 +256,17 @@ def _first_rows(lads, weighted: bool = False):
 
 def _cofactors(lads, weighted: bool = False):
     """(weight, rows, c) for the first n - 1 rows of every matrix walked in
-    the ladders lads (n >= 2), with c their cofactor vector:
+    the ladders lads (n >= 3), with c their cofactor vector:
     det(rows + (v,)) = <v, c>.  The first row runs over _first_rows; at
-    n = 2 it is all of rows, and c = (-r_1, r_0) needs no map; at n = 3,
-    c is the cross product first x r, written out; above, c = K r with K
-    the prefix's _cofactor_map.
+    n = 3, c is the cross product first x r, written out; above, c = K r
+    with K the prefix's _cofactor_map.
 
-    When weighted (q = 0) at n >= 3, row n - 1 runs over the half of its
-    box after the zero row, with twice the weight: the map
+    When weighted (q = 0), row n - 1 runs over the half of its box after
+    the zero row, with twice the weight: the map
     (prefix, r, v) -> (prefix, -r, -v) keeps det = 1 and the symmetric
     boxes, product order puts -r at the mirrored index, and r = 0 gives
     c = 0, which no last row completes."""
     n = len(lads)
-    if n == 2:
-        for weight, r in _first_rows(lads, weighted):
-            yield weight, (r,), (-r[1], r[0])
-        return
     lasts, double = list(product(*lads[n - 2])), 1
     if weighted:
         lasts, double = lasts[len(lasts) // 2 + 1 :], 2
@@ -324,11 +320,19 @@ def _hits(c, last) -> int:
 
 def _walk(lads):
     """(rows, head, solution) for every fixed part of the ladders lads (one
-    row of ladders per matrix row) with solutions, in lexicographic order:
-    each pair of solution completes the matrix rows + (head + pair,).
-    The one loop that lists solutions: only the right-hand side
+    row of ladders, or of value sequences, per matrix row) with solutions,
+    in lexicographic order: each pair of solution completes the matrix
+    rows + (head + pair,).  The one loop that lists solutions: at n = 2,
+    c = (-r_1, r_0) under each primitive first row r and the only head is
+    empty, so each r is one _solve2; above, only the right-hand side
     1 - <head, c> depends on head, so one _line per c serves every head."""
     n, last = len(lads), lads[-1]
+    if n == 2:
+        lad1, lad2 = last
+        for a, b in product(*lads[0]):
+            if math.gcd(a, b) == 1 and (solution := _solve2(-b, a, 1, lad1, lad2)):
+                yield ((a, b),), (), solution
+        return
     if n == 1:
         if 1 in last[0]:
             yield (), (), (True, (range(1, 2),))
@@ -464,63 +468,41 @@ def exists_sl(spec: EnumSpec) -> bool:
 
 
 def _levels(lads):
-    """(s, rows) pairs in increasing s: every row of the ladders lads is in
-    exactly one rows, whose s is its max norm.  The ladders' values are
-    taken in order of absolute value, and each brings the rows it
-    completes: itself beside the values taken before it."""
-    taken = [[] for _ in lads]
+    """(s, axes) pairs in increasing s: every row of the ladders lads is in
+    exactly one product(*axes), whose s is its max norm.  The ladders'
+    values are taken in order of absolute value, and each brings the rows
+    it completes: itself beside the values taken before it."""
+    taken = [()] * len(lads)
     for s, j, v in sorted((abs(v), j, v) for j, lad in enumerate(lads) for v in lad):
-        axes = list(taken)  # product copies its axes, so later values stay out
+        axes = list(taken)  # tuples, so later values stay out
         axes[j] = (v,)
-        yield s, product(*axes)
-        taken[j].append(v)
-
-
-def _least_norm(solution) -> int:
-    """Least max norm of the pairs of a _solve2 result."""
-    return min(max(map(abs, pair)) for pair in _pairs(solution))
-
-
-def _cut(rows, cap: int):
-    """Each residue ladder of rows cut to [-cap, cap]."""
-    return [[_ladder(lad.start, lad.step, cap) for lad in row] for row in rows]
+        yield s, axes
+        taken[j] += (v,)
 
 
 def _least_lift(lads, cap: int) -> int | None:
     """Least max norm of a matrix in the ladders lads, all cut at cap, or
     None if there is none.
 
-    Primitive first rows come in increasing norm (_levels), and the walk
-    stops at the first level that reaches the best found.  The other rows
-    are walked in their ladders cut at min(cap, best - 1), and each fixed
-    part below best offers max(its norm, the least max norm of its
-    solutions), which is never below the level.  At n = 2 the fixed part is
-    the first row and its work one _solve2, as in _walk.
+    First rows come in levels of increasing norm s (_levels), and the walk
+    stops at the first level that reaches the best found.  Each level is
+    one _walk of its first rows over the other rows' ladders cut at
+    min(cap, best - 1), and each fixed part it yields offers max(s, the
+    norm of its other rows and head, the least max norm of its solutions).
     """
-    n, best, rest = len(lads), cap + 1, lads[1:]
-    for s, firsts in _levels(lads[0]):
+    best, rest = cap + 1, lads[1:]
+    for s, axes in _levels(lads[0]):
         if s >= best:
             break
-        if n == 2:
-            lad1, lad2 = rest[0]
-            for a, b in firsts:
-                if math.gcd(a, b) == 1 and (solution := _solve2(-b, a, 1, lad1, lad2)):
-                    best = max(s, _least_norm(solution))  # below best, as the ladders are cut
-                    if best == s:
-                        return s
-                    rest = _cut(rest, best - 1)
-                    lad1, lad2 = rest[0]
-            continue
-        for first in firsts:  # _walk yields nothing under a first row not primitive
-            below = [[range(v, v + 1) for v in first]] + rest
-            for rows, head, solution in _walk(below):
-                # a walk's ladders stay as cut when it began, so check against best
-                least = max(max(map(abs, chain(first, *rows, head))), _least_norm(solution))
-                if least < best:
-                    if least == s:
-                        return s
-                    best = least
-                    rest = _cut(rest, best - 1)
+        for rows, head, solution in _walk([axes] + rest):
+            # a walk's ladders stay as cut when it began, so check against best
+            norm = min(max(map(abs, pair)) for pair in _pairs(solution))
+            least = max(s, norm, *map(abs, chain(*rows[1:], head)))
+            if least < best:
+                if least == s:
+                    return s
+                best = least
+                rest = [[_ladder(lad.start, lad.step, best - 1) for lad in row] for row in rest]
     return best if best <= cap else None
 
 
@@ -566,7 +548,7 @@ def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     are then read off one cached totient prefix (_n2_sieve); otherwise each
     distinct threshold is one count_sl.
     """
-    t_list = [int(t) for t in t_list]
+    t_list = intmat.as_ints(t_list)
     if any(t < 0 for t in t_list):
         raise InvalidInput("thresholds must be >= 0")
     exponent = n * n - n

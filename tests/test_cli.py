@@ -200,6 +200,15 @@ class TestHardCommand:
         jsonschema.validate(record, SCHEMA)
         assert record["results"]["oracle"]["verified"] is True
 
+    @pytest.mark.parametrize("t_max, verified", [(7, True), (6, False)])
+    def test_verify_oracle_without_a_lift_by_t_max(self, capsys, t_max, verified):
+        # no lift of norm <= t_max proves L >= t_max + 1 (here L = 13): that
+        # verifies bound 8 at t_max = 7, not at t_max = 6
+        code, out, _ = run(["hard", "--trace-family-m", "1", "--verify-oracle", str(t_max), "--json"], capsys)
+        assert code == 0
+        oracle_record = json.loads(out)["results"]["oracle"]
+        assert oracle_record == {"t_max": t_max, "min_lift_norm": None, "bound": 8, "verified": verified}
+
     def test_trace_family(self, capsys):
         code, out, _ = run(["hard", "--trace-family-m", "1", "--json"], capsys)
         assert code == 0

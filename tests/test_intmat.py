@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sllift.errors import BadShape, DependentRows, NotInvertible, NotSquare
+from sllift.errors import BadShape, DependentRows, InvalidInput, NotInvertible, NotSquare
 from sllift.intmat import (
     IntMatrix,
     adjugate_mod,
@@ -249,7 +249,27 @@ class TestSolveMod:
             assert alpha[n - 1] == cramer
 
 
+    @pytest.mark.parametrize("q", [0, -3])
+    def test_modulus_below_one_is_refused(self, q):
+        # refused up front: q = 0 would divide by zero, and q = -3 would
+        # answer with residues of a negative modulus
+        with pytest.raises(InvalidInput, match=f"got {q}"):
+            solve_mod(IntMatrix.identity(2), (1, 1), q)
+        with pytest.raises(InvalidInput, match=f"got {q}"):
+            adjugate_mod(IntMatrix.identity(2), q)
+
+    def test_vector_entries_must_be_integers(self):
+        with pytest.raises(InvalidInput, match="2.5"):
+            solve_mod(IntMatrix.identity(2), (1, 2.5), 7)
+        assert solve_mod(IntMatrix.identity(2), (True, 3), 7) == (1, 3)
+
+
 class TestSizeReduce:
+    def test_vector_entries_must_be_integers(self):
+        b = IntMatrix([[1, 0]])
+        with pytest.raises(InvalidInput, match="'7'"):
+            size_reduce((0, "7"), b, maximal_minors(b))
+
     def test_examples(self):
         def reduce(v, rows):
             b = IntMatrix(rows)
@@ -332,6 +352,19 @@ class TestNormReport:
 
 
 class TestIntMatrix:
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", None])
+    def test_entries_must_be_integers(self, bad):
+        # each is refused, naming it, rather than truncated or parsed by int()
+        with pytest.raises(InvalidInput, match=f"got {bad!r}"):
+            IntMatrix([[1, 0], [bad, 1]])
+        with pytest.raises(InvalidInput, match=f"got {bad!r}"):
+            IntMatrix([[1, 0]]).with_row((bad, 1))
+
+    def test_ints_and_bools_are_accepted(self):
+        m = IntMatrix([[True, False], (0, 1)])
+        assert m.rows == ((1, 0), (0, 1)) and type(m.rows[0][0]) is int
+        assert IntMatrix([[1]]).with_row([False]).rows == ((1,), (0,))
+
     def test_shape_validation(self):
         with pytest.raises(BadShape):
             IntMatrix([])

@@ -100,6 +100,16 @@ class TestEnumSpec:
         with pytest.raises(InvalidInput):
             EnumSpec(n=2, caps=(1, 1), x=((1, 0), (0, 1)))
 
+    def test_caps_and_target_entries_must_be_integers(self):
+        # a float cap is refused, not truncated, and a string entry raises
+        # InvalidInput, not a bare ValueError
+        with pytest.raises(InvalidInput, match="got 1.5"):
+            EnumSpec(n=2, caps=(1.5, 2))
+        with pytest.raises(InvalidInput, match="got 'a'"):
+            EnumSpec(n=2, caps=(1, 1), q=3, x=((1, "a"), (0, 1)))
+        spec = EnumSpec(n=2, caps=(True, 2), q=3, x=((True, False), (0, 1)))
+        assert spec.caps == (1, 2) and spec.x == ((1, 0), (0, 1))
+
     def test_target_must_be_unimodular(self):
         with pytest.raises(InvalidInput):
             EnumSpec(n=2, caps=(1, 1), q=4, x=((2, 0), (0, 1)))
@@ -323,6 +333,56 @@ class TestMinLiftNorm:
         assert min_lift_norm(IntMatrix([[1]]), 5, 3) == 1
         assert min_lift_norm(IntMatrix([[6]]), 5, 1) == 1
 
+    @pytest.mark.parametrize(
+        "rows, q, t_max, answer",
+        [
+            (((6,),), 5, 1, 1),
+            (((5, 0), (0, 5)), 8, 128, 13),
+            (((19, 10), (5, 6)), 21, 1764, 26),
+            (((0, 3, 0), (2, 0, 1), (3, 0, 2)), 4, 8, 3),
+            (((2, 3, 0), (4, 1, 4), (0, 3, 4)), 5, 8, 3),
+        ],
+    )
+    def test_one_walk_per_level_and_no_kernel_call_outside_it(self, monkeypatch, rows, q, t_max, answer):
+        # _least_lift has one loop at every n: each first-row level it reads
+        # is one _walk, and the kernel's solves happen only inside a walk
+        walk, levels, solve2, line = oracle._walk, oracle._levels, oracle._solve2, oracle._line
+        events, inside = [], [0]
+
+        def counted_walk(lads):
+            events.append("walk")
+            steps = walk(lads)
+            while True:
+                inside[0] += 1
+                try:
+                    item = next(steps)
+                except StopIteration:
+                    return
+                finally:
+                    inside[0] -= 1
+                yield item
+
+        def counted_levels(lads):
+            for level in levels(lads):
+                events.append("level")
+                yield level
+
+        def in_walk(kernel):
+            def checked(*args):
+                assert inside[0], f"{kernel.__name__} called outside _walk"
+                return kernel(*args)
+
+            return checked
+
+        monkeypatch.setattr(oracle, "_walk", counted_walk)
+        monkeypatch.setattr(oracle, "_levels", counted_levels)
+        monkeypatch.setattr(oracle, "_solve2", in_walk(solve2))
+        monkeypatch.setattr(oracle, "_line", in_walk(line))
+        assert min_lift_norm(IntMatrix(rows), q, t_max) == answer
+        # every level read below best is walked once; the level that reaches best stops the loop
+        walked = events.count("walk")
+        assert walked > 0 and events in (["level", "walk"] * walked, ["level", "walk"] * walked + ["level"])
+
     def test_budget_refuses_the_inputs_the_bisection_refused(self, monkeypatch):
         # only a doubling cap can be the first to pass the budget, and both
         # schedules budget the same doubling caps with the same message
@@ -392,6 +452,12 @@ class TestNormCountTable:
     def test_n3_goldens(self):
         assert [count_sl(EnumSpec(n=3, caps=(t,) * 3)) for t in range(4, 9)] == N3[4:]
         assert [count for _, count, _ in norm_count_table(3, range(1, 9))] == N3[1:]
+
+    def test_thresholds_must_be_integers(self):
+        # a float threshold is refused, not answered for its floor
+        with pytest.raises(InvalidInput, match="got 1.7"):
+            norm_count_table(2, [1.7])
+        assert norm_count_table(2, [True]) == [(1, 20, 20.0)]
 
     def test_t_zero_and_one(self):
         table = norm_count_table(2, [0, 1])
@@ -771,7 +837,7 @@ def prefix_and_row(draw):
 
 
 WALK_SPECS = [
-    # n = 2: the prefix is empty and _cofactors yields c = (-r_1, r_0) itself
+    # n = 2: _walk solves c = (-r_1, r_0) itself, with no prefix and one empty head
     EnumSpec(n=2, caps=(4, 6), q=3, x=((1, 1), (0, 1))),
     EnumSpec(n=3, caps=(2, 2, 2)),
     EnumSpec(n=3, caps=(1, 3, 2), q=3, x=((1, 0, 0), (0, 1, 0), (0, 0, 1))),
