@@ -4,16 +4,19 @@ Points are primitive vectors mod q (affine) or their unit-scaling classes
 (projective); the distance between two points is the smallest max norm of an
 integer unimodular matrix carrying one to the other.  All scans walk the
 matrices shell by shell (exact max norm m = 1, 2, ...), each shell built
-once per process by oracle.iter_shell in iter_sl order and stored by row
-position, so the first hit is the minimum.  A shell is classified in one
-pass of C-level iterators: the images gamma * x are zipped from one map per
-row position over a memo of <row, x> mod q kept for one scan (the matrices
-of a scan share few distinct rows, so each dot product is taken once).  A
-distance takes the index of the first image in the target's unit orbit and
-rebuilds its witness from it; a profile maps the images to points through
-one dict built per call, in blocks of one image per point, and keeps the
-new points of each block.  Norms are stored exactly; logarithms are
-presentation only.
+once per process by oracle.iter_shell in iter_sl order, so the first hit is
+the minimum.  A shell is stored by row position as integer row ids, from a
+registry per n that numbers each row when its shell is first built.  A scan
+keeps one list of row images <row, x> mod q, by id, extended before each
+shell by one comprehension over the rows registered since the last, so each
+dot product is taken once per scan.  Each matrix's image gamma * x is then
+read as the integer code sum_k image_k q^(n-1-k) in one pass of C-level
+iterators over the shell's ids.  A distance takes the index of the first
+code among the codes of the target's unit orbit and decodes its witness
+through the registry; a profile maps the codes to the codes of points
+through one dict built per call, in blocks of one image per point, and
+keeps the new points of each block.  Norms are stored exactly; logarithms
+are presentation only.
 
 A profile walks one source per orbit of the signed permutation matrices P
 and counts its norms once per orbit member.  That is exact: gamma ->
@@ -28,11 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, count, islice, permutations, product
-from operator import mul
+from itertools import compress, count, islice, permutations, product, repeat
+from operator import add, mul
 
 from .errors import BudgetExceeded, InvalidInput
+from .intmat import as_ints
 from .oracle import iter_shell
+
 
 def units_mod(q: int) -> tuple[int, ...]:
     return tuple(u for u in range(q) if math.gcd(u, q) == 1)
@@ -44,14 +49,16 @@ def canonical_rep(coords, q: int) -> tuple[int, ...]:
     return min(tuple(u * c % q for c in coords) for u in units_mod(q))
 
 
-def _primitive(q: int, coords) -> tuple[int, ...]:
-    """coords reduced mod q; raises InvalidInput unless primitive mod q >= 1."""
+def _primitive(q: int, coords) -> tuple[int, tuple[int, ...]]:
+    """(q, coords reduced mod q); raises InvalidInput unless all are integers
+    (as_ints) and coords is primitive mod q >= 1."""
+    q, *coords = as_ints((q, *coords))
     if q < 1:
         raise InvalidInput(f"need q >= 1, got {q}")
-    coords = tuple(int(c) % q for c in coords)
+    coords = tuple(c % q for c in coords)
     if math.gcd(q, *coords) != 1:
         raise InvalidInput(f"{coords} is not primitive mod {q}")
-    return coords
+    return q, coords
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,9 @@ class PointA:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _primitive(self.q, self.coords))
+        q, coords = _primitive(self.q, self.coords)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "coords", coords)
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,9 @@ class PointP:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", canonical_rep(_primitive(self.q, self.coords), self.q))
+        q, coords = _primitive(self.q, self.coords)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "coords", canonical_rep(coords, q))
 
 
 @dataclass(frozen=True)
@@ -93,31 +104,76 @@ class DistanceRecord:
     log_q_exponent: float | None
 
 
-@cache
-def _shell(n: int, m: int) -> tuple:
-    """All SL_n(Z) matrices with max norm exactly m, in iter_sl order, stored
-    by row position: entry k holds row k of every matrix.
+class _RowIds(dict):
+    """row -> id for every row of the n x n shells built so far, the ids
+    given in the order the rows are first met; rows[id] is the row."""
 
-    Kept per process: every scan walks the shells from m = 1 again."""
-    return tuple(zip(*iter_shell(n, m)))
-
-
-class _RowImages(dict):
-    """row -> <row, coords> mod q, each taken on first lookup and kept for one
-    scan: shells share rows, so every distinct row costs one dot product."""
-
-    def __init__(self, coords, q):
-        self.coords, self.q = coords, q
+    def __init__(self):
+        super().__init__()
+        self.rows = []
 
     def __missing__(self, row):
-        image = self[row] = sum(map(mul, row, self.coords)) % self.q
-        return image
+        self.rows.append(row)
+        id_ = self[row] = len(self.rows) - 1
+        return id_
 
 
-def _images(images: _RowImages, shell):
-    """gamma * coords for every gamma of a by-row shell (_shell), in shell
-    order, each a tuple read from the memo images."""
-    return zip(*[map(images.__getitem__, rows) for rows in shell])
+@cache
+def _row_ids(n: int) -> _RowIds:
+    """The registry of n x n rows, kept per process with the shells."""
+    return _RowIds()
+
+
+@cache
+def _shell(n: int, m: int) -> tuple:
+    """All SL_n(Z) matrices with max norm exactly m, in iter_sl order, as
+    (positions, size): positions[k] holds the id of row k of every matrix,
+    and size is the registry's length once the shell's rows are in it.
+
+    Kept per process: every scan walks the shells from m = 1 again."""
+    ids = _row_ids(n)
+    positions = tuple(tuple(map(ids.__getitem__, rows)) for rows in zip(*iter_shell(n, m)))
+    return positions or ((),) * n, len(ids.rows)  # an empty shell keeps its n positions
+
+
+def _code(v, q: int) -> int:
+    """sum v_k q^(n-1-k): a vector of residues mod q as one integer, which
+    orders vectors as their tuples do."""
+    code = 0
+    for c in v:
+        code = code * q + c
+    return code
+
+
+def _dots(rows, x, q: int) -> list[int]:
+    """<row, x> mod q for each row."""
+    if len(x) == 2:  # the plane, unpacked: about 4x the generic comprehension
+        a, b = x
+        return [(r * a + s * b) % q for r, s in rows]
+    return [sum(map(mul, row, x)) % q for row in rows]
+
+
+class _Scan:
+    """gamma * x mod q, as codes (_code), for the matrices of the shells, for
+    one source x.  images[i] is <rows[i], x> mod q; before each shell the
+    list is extended over the rows registered since the last, so each row's
+    dot product is taken once per scan."""
+
+    def __init__(self, x, q: int):
+        self.x, self.q, self.rows = x, q, _row_ids(len(x)).rows
+        self.images = []
+
+    def codes(self, shell):
+        """The code of gamma * x for every gamma of a shell (_shell), in
+        order, read position by position in Horner's scheme."""
+        positions, size = shell
+        images = self.images
+        if size > len(images):
+            images += _dots(self.rows[len(images) : size], self.x, self.q)
+        codes = map(images.__getitem__, positions[0])
+        for ids in positions[1:]:
+            codes = map(add, map(mul, codes, repeat(self.q)), map(images.__getitem__, ids))
+        return codes
 
 
 def _exponent(v: int, q: int) -> float:
@@ -125,27 +181,30 @@ def _exponent(v: int, q: int) -> float:
 
 
 def _dist(x, y, t_max, targets) -> DistanceRecord:
-    """First hit of gamma * x in targets, the coordinates of y's class."""
+    """First hit of gamma * x in targets, the codes of y's class."""
     if x.q != y.q or len(x.coords) != len(y.coords):
         raise InvalidInput("points live in different spaces")
-    images = _RowImages(x.coords, x.q)
+    (t_max,) = as_ints((t_max,))
+    if t_max < 0:
+        raise InvalidInput(f"need t_max >= 0, got {t_max}")
+    scan = _Scan(x.coords, x.q)
     for m in range(1, t_max + 1):
         shell = _shell(len(x.coords), m)
-        hit = next(compress(count(), map(targets.__contains__, _images(images, shell))), None)
+        hit = next(compress(count(), map(targets.__contains__, scan.codes(shell))), None)
         if hit is not None:
-            witness = tuple(rows[hit] for rows in shell)
+            witness = tuple(scan.rows[ids[hit]] for ids in shell[0])
             return DistanceRecord(x.coords, y.coords, x.q, m, witness, t_max, _exponent(m, x.q))
     return DistanceRecord(x.coords, y.coords, x.q, None, None, t_max, None)
 
 
 def dist_affine(x: PointA, y: PointA, t_max: int) -> DistanceRecord:
     """Minimal max norm of gamma in SL_n(Z) with gamma * x = y mod q."""
-    return _dist(x, y, t_max, {y.coords})
+    return _dist(x, y, t_max, {_code(y.coords, y.q)})
 
 
 def dist_projective(x: PointP, y: PointP, t_max: int) -> DistanceRecord:
     """Minimal max norm of gamma with gamma * x = u * y mod q for a unit u."""
-    return _dist(x, y, t_max, {tuple(u * c % y.q for c in y.coords) for u in units_mod(y.q)})
+    return _dist(x, y, t_max, {_code([u * c % y.q for c in y.coords], y.q) for u in units_mod(y.q)})
 
 
 def affine_points(n: int, q: int) -> list[tuple[int, ...]]:
@@ -158,24 +217,16 @@ def projective_points(n: int, q: int) -> list[tuple[int, ...]]:
     return sorted({canonical_rep(t, q) for t in affine_points(n, q)})
 
 
-def _signed_permutations(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The 2^n n! signed permutation matrices, as row tuples."""
-    return [
-        tuple(tuple(s if j == i else 0 for j in range(n)) for i, s in zip(perm, signs))
-        for perm in permutations(range(n))
-        for signs in product((1, -1), repeat=n)
-    ]
-
-
-def _first_norms(images: _RowImages, point_of: dict, size: int, n: int, t_max: int) -> dict:
+def _first_norms(scan: _Scan, point_of: dict, size: int, n: int, t_max: int) -> dict:
     """point -> least m whose shell carries the scan's source to it, over the
-    shells m = 1..t_max.  Each shell is classified in blocks of size images
-    (size = the number of points), and the walk stops after the first block
-    that completes the points: a point's norm is that of the first shell
-    that reaches it, so stopping anywhere after that changes nothing."""
-    found: dict[tuple[int, ...], int] = {}
+    shells m = 1..t_max, points by code.  Each shell is classified in blocks
+    of size images (size = the number of points), and the walk stops after
+    the first block that completes the points: a point's norm is that of the
+    first shell that reaches it, so stopping anywhere after that changes
+    nothing."""
+    found: dict[int, int] = {}
     for m in range(1, t_max + 1):
-        reached = map(point_of.__getitem__, _images(images, _shell(n, m)))
+        reached = map(point_of.__getitem__, scan.codes(_shell(n, m)))
         while block := set(islice(reached, size)):
             found.update(dict.fromkeys(block.difference(found), m))
             if len(found) == size:
@@ -189,20 +240,21 @@ def _all_distances(space: str, n: int, q: int, t_max: int):
     Only the sorted-first point of each signed-permutation orbit is walked;
     its norms count once per orbit member (see the module docstring).
     """
-    point_of = {v: canonical_rep(v, q) if space == "P" else v for v in affine_points(n, q)}
-    points = sorted(set(point_of.values()))
-    symmetries = _signed_permutations(n)
-    walked: set[tuple[int, ...]] = set()
+    classes = {v: canonical_rep(v, q) if space == "P" else v for v in affine_points(n, q)}
+    points = sorted(set(classes.values()))
+    point_of = {_code(v, q): _code(p, q) for v, p in classes.items()}
+    # the 2^n n! signed permutations P, as (P x)_k = signs[k] * x[perm[k]]
+    symmetries = list(product(permutations(range(n)), product((1, -1), repeat=n)))
+    walked: set[int] = set()
     norms = []
     for src in points:
-        if src in walked:
+        if _code(src, q) in walked:
             continue
-        images = _RowImages(src, q)
-        orbit = {point_of[tuple(map(images.__getitem__, p))] for p in symmetries}
+        orbit = {point_of[_code([s * src[j] % q for j, s in zip(perm, signs)], q)] for perm, signs in symmetries}
         walked |= orbit
-        found = _first_norms(images, point_of, len(points), n, t_max)
+        found = _first_norms(_Scan(src, q), point_of, len(points), n, t_max)
         if len(found) < len(points):
-            missing = next(p for p in points if p not in found)
+            missing = next(p for p in points if _code(p, q) not in found)
             raise BudgetExceeded(f"pair ({src}, {missing}) unresolved within norm {t_max}")
         norms.extend(list(found.values()) * len(orbit))
     return points, norms
@@ -216,6 +268,9 @@ def diameter_profile(space: str, n: int, q: int, t_max: int) -> dict:
     """
     if space not in ("A", "P"):
         raise InvalidInput("space must be 'A' or 'P'")
+    n, q, t_max = as_ints((n, q, t_max))
+    if t_max < 0:
+        raise InvalidInput(f"need t_max >= 0, got {t_max}")
     if n < 1:
         raise InvalidInput(f"need n >= 1, got {n}")
     if q < 2:
@@ -254,6 +309,7 @@ def projective_bad_pair(q: int) -> DistanceRecord:
     carry an entry of size at least q/2; the record measures how tight
     that is.
     """
+    (q,) = as_ints((q,))
     if q < 2 or q % 2 != 0:
         raise InvalidInput(f"need even q >= 2, got {q}")
     return dist_projective(PointP(q, (1, 0)), PointP(q, (1, q // 2)), 8 * q)

@@ -184,19 +184,28 @@ class TestIterShell:
 
 
 class TestShellStorage:
-    """actions._shell keeps each shell by row position: entry k holds row k
-    of every matrix, so zipping the entries back gives iter_shell."""
+    """actions._shell keeps each shell by row position as row ids: entry k
+    holds the id of row k of every matrix, and the per-n registry decodes
+    each id to its row, so zipping the decoded entries gives iter_shell."""
 
     @pytest.mark.parametrize(
         "n,m",
         [(1, m) for m in (1, 2, 3)] + [(2, m) for m in range(1, 41)] + [(3, m) for m in (1, 2, 3)],
     )
-    def test_rows_zip_back_to_iter_shell(self, n, m):
-        assert list(zip(*actions._shell(n, m))) == list(oracle.iter_shell(n, m))
+    def test_ids_decode_to_iter_shell(self, n, m):
+        positions, size = actions._shell(n, m)
+        ids = actions._row_ids(n)
+        assert all(i < size for entry in positions for i in entry)
+        decoded = [[ids.rows[i] for i in entry] for entry in positions]
+        assert list(zip(*decoded)) == list(oracle.iter_shell(n, m))
+        # one id per row, in both directions
+        assert len(set(ids.rows)) == len(ids.rows) == len(ids)
+        assert all(ids[row] == i for i, row in enumerate(ids.rows))
 
     def test_n1_shells_past_one_are_empty(self):
-        assert actions._shell(1, 1) == (((1,),),)
-        assert actions._shell(1, 2) == actions._shell(1, 3) == ()
+        (entry,), _ = actions._shell(1, 1)
+        assert [actions._row_ids(1).rows[i] for i in entry] == [(1,)]
+        assert actions._shell(1, 2)[0] == actions._shell(1, 3)[0] == ((),)
 
     def test_n1_records(self):
         assert dist_affine(PointA(5, (2,)), PointA(5, (2,)), 3) == DistanceRecord((2,), (2,), 5, 1, ((1,),), 3, 0.0)
@@ -221,54 +230,59 @@ class TestShellStorage:
 
 
 class TestRowImages:
-    """A scan takes each distinct row's image once: the memo's misses are
-    the distinct rows of the matrices it walked, in walk order."""
+    """A scan takes each walked row's image once: the rows it hands to
+    actions._dots, in order, are the registry's first rows up to the end of
+    the last shell it read, each once."""
 
     @pytest.fixture
-    def memos(self, monkeypatch):
-        made = []
+    def dots(self, monkeypatch):
+        given = {}  # source -> the rows whose images its scan took
+        real = actions._dots
 
-        class Counting(actions._RowImages):
-            def __init__(self, coords, q):
-                super().__init__(coords, q)
-                self.misses = 0
-                made.append(self)
+        def counted(rows, x, q):
+            given.setdefault(x, []).extend(rows)
+            return real(rows, x, q)
 
-            def __missing__(self, row):
-                self.misses += 1
-                return super().__missing__(row)
-
-        monkeypatch.setattr(actions, "_RowImages", Counting)
-        return made
-
-    @staticmethod
-    def rows_of(matrices):
-        return set(chain.from_iterable(matrices))
+        monkeypatch.setattr(actions, "_dots", counted)
+        return given
 
     @pytest.mark.parametrize("q", [6, 9, 16])
-    def test_distance_takes_each_walked_row_once(self, memos, q):
+    def test_distance_takes_each_walked_row_once(self, dots, q):
         x, y = PointA(q, (1, 0)), PointA(q, (2, q - 1))
         record = dist_affine(x, y, 8 * q)
-        walked = [g for m in range(1, record.min_max_norm) for g in oracle.iter_shell(2, m)]
-        last = list(oracle.iter_shell(2, record.min_max_norm))
-        walked += last[: last.index(record.witness) + 1]
-        (memo,) = memos
-        assert memo.misses == len(memo) == len(self.rows_of(walked))
-        assert set(memo) == self.rows_of(walked)
+        (rows,) = dots.values()
+        assert rows == actions._row_ids(2).rows[: actions._shell(2, record.min_max_norm)[1]]
+        walked = {r for m in range(1, record.min_max_norm + 1) for g in oracle.iter_shell(2, m) for r in g}
+        assert set(rows) >= walked and len(set(rows)) == len(rows)
 
     @pytest.mark.parametrize("space,n,q", [("A", 2, 7), ("P", 2, 12), ("A", 3, 3)])
-    def test_profile_takes_each_walked_row_once(self, memos, space, n, q):
-        # a profile stops within its last shell, so its memo holds the rows
-        # of the shortest prefix of the shell-by-shell walk that covers it
+    def test_profile_takes_each_walked_row_once(self, dots, space, n, q):
+        # a profile walks one scan per source, and stops within its last shell
         diameter_profile(space, n, q, 8 * q)
-        assert memos
-        for memo in memos:
-            walk = (g for m in count(1) for g in oracle.iter_shell(n, m))
-            rows = set()
-            while not rows >= memo.keys():
-                rows.update(next(walk))
-            assert memo.misses == len(memo) == len(rows)
-            assert set(memo) == rows
+        assert dots
+        registry = actions._row_ids(n).rows
+        for rows in dots.values():
+            assert rows == registry[: len(rows)]
+            last = next(m for m in count(1) if actions._shell(n, m)[1] >= len(rows))
+            assert len(rows) == actions._shell(n, last)[1]
+
+    def test_registries_are_per_n(self):
+        # one process scans at n = 3, then n = 2, then n = 1, from empty
+        # registries: each n's ids must decode through its own registry
+        actions._shell.cache_clear()
+        actions._row_ids.cache_clear()
+        for n, q, pairs in (
+            (3, 4, [((1, 0, 0), (1, 2, 3)), ((0, 1, 2), (3, 1, 0)), ((1, 1, 1), (2, 3, 1))]),
+            (2, 9, [((1, 0), (4, 6)), ((2, 3), (7, 1)), ((0, 1), (3, 8))]),
+            (1, 5, [((1,), (1,)), ((1,), (2,))]),
+        ):
+            t_max = 2 if n == 3 else 8 * q  # the naive n = 3 scan filters the cap-m box
+            for x, y in pairs:
+                got = dist_affine(PointA(q, x), PointA(q, y), t_max)
+                assert got == naive_distance(x, y, q, t_max, projective=False)
+                x, y = canonical_rep(x, q), canonical_rep(y, q)
+                got = dist_projective(PointP(q, x), PointP(q, y), t_max)
+                assert got == naive_distance(x, y, q, t_max, projective=True)
 
 
 class TestPoints:
@@ -276,6 +290,15 @@ class TestPoints:
         with pytest.raises(InvalidInput):
             PointA(4, (2, 2))
         PointA(4, (2, 1))  # fine
+
+    @pytest.mark.parametrize("point", [PointA, PointP])
+    @pytest.mark.parametrize("q, coords, bad", [(5, (1.5, 0), "1.5"), (5.0, (1, 0), "5.0"), (5, ("1", 0), "'1'")])
+    def test_q_and_coords_must_be_integers(self, point, q, coords, bad):
+        # PointA(5, (1.5, 0)) was (1, 0): a float is refused, not truncated
+        with pytest.raises(InvalidInput, match=f"need integers, got {bad}"):
+            point(q, coords)
+        p = point(True + 4, (True, False))
+        assert (p.q, p.coords) == (5, (1, 0)) and type(p.q) is int
 
     def test_projective_canonicalizes(self):
         p = PointP(5, (2, 4))
@@ -414,6 +437,15 @@ class TestDistances:
         assert want is not None
         assert naive_distance(px, py, q, t_max, projective).min_max_norm == want
 
+    @pytest.mark.parametrize("dist, point", [(dist_affine, PointA), (dist_projective, PointP)])
+    def test_t_max_must_be_a_non_negative_integer(self, dist, point):
+        x, y = point(5, (1, 0)), point(5, (0, 1))
+        with pytest.raises(InvalidInput, match="need integers, got 3.0"):
+            dist(x, y, 3.0)
+        with pytest.raises(InvalidInput, match="need t_max >= 0, got -1"):
+            dist(x, y, -1)
+        assert dist(x, y, 0).min_max_norm is None
+
     def test_mismatched_spaces(self):
         with pytest.raises(InvalidInput):
             dist_affine(PointA(5, (1, 0)), PointA(7, (1, 0)), 3)
@@ -494,6 +526,20 @@ class TestDiameterProfile:
         with pytest.raises(InvalidInput, match="need n >= 1"):
             diameter_profile(space, n, 2, 16)
 
+    @pytest.mark.parametrize(
+        "n, q, t_max, bad", [(2.0, 5, 40, "2.0"), (2, 5.0, 40, "5.0"), (2, 5, 40.0, "40.0"), (2, "5", 40, "'5'")]
+    )
+    def test_n_q_and_t_max_must_be_integers(self, n, q, t_max, bad):
+        # a float gave a bare TypeError from range
+        for space in ("A", "P"):
+            with pytest.raises(InvalidInput, match=f"need integers, got {bad}"):
+                diameter_profile(space, n, q, t_max)
+
+    def test_negative_t_max_is_refused(self):
+        for space in ("A", "P"):
+            with pytest.raises(InvalidInput, match="need t_max >= 0, got -1"):
+                diameter_profile(space, 2, 5, -1)
+
     def test_budget_exceeded(self):
         for space, pair in (("A", "((0, 1), (0, 2))"), ("P", "((0, 1), (1, 2))")):
             with pytest.raises(BudgetExceeded) as exc:
@@ -527,6 +573,11 @@ class TestBadPair:
     def test_requires_even(self):
         with pytest.raises(InvalidInput):
             projective_bad_pair(7)
+
+    def test_q_must_be_an_integer(self):
+        # 8.0 gave a bare TypeError
+        with pytest.raises(InvalidInput, match="need integers, got 8.0"):
+            projective_bad_pair(8.0)
 
     def test_lower_bound_forced_by_fixed_coordinate(self):
         # any witness must carry q/2 + qZ in its (2,1) slot, so norm >= q/2

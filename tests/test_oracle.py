@@ -114,6 +114,21 @@ class TestEnumSpec:
         with pytest.raises(InvalidInput):
             EnumSpec(n=2, caps=(1, 1), q=4, x=((2, 0), (0, 1)))
 
+    @pytest.mark.parametrize(
+        "fields, bad",
+        [
+            ({"n": 2.0, "caps": (1, 1)}, "2.0"),
+            ({"n": "2", "caps": (1, 1)}, "'2'"),
+            ({"n": 2, "caps": (1, 1), "q": 3.0, "x": ((1, 0), (0, 1))}, "3.0"),
+        ],
+    )
+    def test_n_and_q_must_be_integers(self, fields, bad):
+        # the float q was named as a reduced target entry, 1.0, not as itself
+        with pytest.raises(InvalidInput, match=f"need integers, got {bad}"):
+            EnumSpec(**fields)
+        spec = EnumSpec(n=True + True, caps=(1, 1), q=True + 2, x=((1, 0), (0, 1)))
+        assert (spec.n, spec.q) == (2, 3) and type(spec.n) is type(spec.q) is int
+
 
 class TestCountSl:
     def test_f1_is_twenty(self):
@@ -329,6 +344,12 @@ class TestMinLiftNorm:
         x = IntMatrix(rows)
         assert min_lift_norm(x, q, t_max) == bisection_reference(x, q, t_max)
 
+    @pytest.mark.parametrize("q, t_max, bad", [(8.0, 128, "8.0"), (8, 128.5, "128.5"), (8, "128", "'128'")])
+    def test_q_and_t_max_must_be_integers(self, q, t_max, bad):
+        # a float q gave a bare TypeError, and t_max = 128.5 answered 13
+        with pytest.raises(InvalidInput, match=f"need integers, got {bad}"):
+            min_lift_norm(IntMatrix([[5, 0], [0, 5]]), q, t_max)
+
     def test_n1_has_the_one_lift(self):
         assert min_lift_norm(IntMatrix([[1]]), 5, 3) == 1
         assert min_lift_norm(IntMatrix([[6]]), 5, 1) == 1
@@ -345,7 +366,8 @@ class TestMinLiftNorm:
     )
     def test_one_walk_per_level_and_no_kernel_call_outside_it(self, monkeypatch, rows, q, t_max, answer):
         # _least_lift has one loop at every n: each first-row level it reads
-        # is one _walk, and the kernel's solves happen only inside a walk
+        # is one _walk, unless an axis of the level is empty, and the
+        # kernel's solves happen only inside a walk
         walk, levels, solve2, line = oracle._walk, oracle._levels, oracle._solve2, oracle._line
         events, inside = [], [0]
 
@@ -364,7 +386,7 @@ class TestMinLiftNorm:
 
         def counted_levels(lads):
             for level in levels(lads):
-                events.append("level")
+                events.append("empty" if () in level[1] else "level")
                 yield level
 
         def in_walk(kernel):
@@ -379,9 +401,35 @@ class TestMinLiftNorm:
         monkeypatch.setattr(oracle, "_solve2", in_walk(solve2))
         monkeypatch.setattr(oracle, "_line", in_walk(line))
         assert min_lift_norm(IntMatrix(rows), q, t_max) == answer
-        # every level read below best is walked once; the level that reaches best stops the loop
+        # every level read below best is walked once, but an empty one not at
+        # all; the level that reaches best stops the loop
         walked = events.count("walk")
-        assert walked > 0 and events in (["level", "walk"] * walked, ["level", "walk"] * walked + ["level"])
+        read = [e for e in events if e != "empty"]
+        assert walked > 0 and read in (["level", "walk"] * walked, ["level", "walk"] * walked + ["level"])
+
+    def test_no_walk_for_a_level_with_an_empty_axis(self, monkeypatch):
+        # a level whose rows are a product with an empty factor has no rows:
+        # the search classes read such levels, and none of them builds a walk
+        walk, levels = oracle._walk, oracle._levels
+        walks, empty = [], []
+
+        def counted_walk(lads):
+            walks.append(lads[0])
+            return walk(lads)
+
+        def counted_levels(lads):
+            for s, axes in levels(lads):
+                empty.append(() in axes)
+                yield s, axes
+
+        monkeypatch.setattr(oracle, "_walk", counted_walk)
+        monkeypatch.setattr(oracle, "_levels", counted_levels)
+        for x, q, t_max in search_classes():
+            min_lift_norm(x, q, t_max)
+        assert any(empty) and not any(() in axes for axes in walks)
+        # at most one walk per nonempty level read (2,063 levels read, 261
+        # of them empty: 1,768 walks, where each level read was one walk)
+        assert len(walks) <= empty.count(False)
 
     def test_budget_refuses_the_inputs_the_bisection_refused(self, monkeypatch):
         # only a doubling cap can be the first to pass the budget, and both
