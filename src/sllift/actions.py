@@ -43,10 +43,31 @@ def units_mod(q: int) -> tuple[int, ...]:
     return tuple(u for u in range(q) if math.gcd(u, q) == 1)
 
 
+def _orbit(coords, q: int, units) -> list[tuple[int, ...]]:
+    """u * coords mod q for each u in units, in order."""
+    return [tuple(u * c % q for c in coords) for u in units]
+
+
 def canonical_rep(coords, q: int) -> tuple[int, ...]:
     """Lexicographically least element of the unit-scaling orbit of coords."""
-    coords = tuple(c % q for c in coords)
-    return min(tuple(u * c % q for c in coords) for u in units_mod(q))
+    (q,) = as_ints((q,))
+    if q < 1:
+        raise InvalidInput(f"need q >= 1, got {q}")
+    return min(_orbit(coords, q, units_mod(q)))
+
+
+def _classes(space: str, n: int, q: int) -> dict:
+    """affine point -> its point in space: itself in "A", its canonical_rep
+    in "P", each unit orbit built once for all its members."""
+    points = affine_points(n, q)
+    if space == "A":
+        return dict(zip(points, points))
+    units, classes = units_mod(q), {}
+    for v in points:
+        if v not in classes:
+            orbit = _orbit(v, q, units)
+            classes.update(dict.fromkeys(orbit, min(orbit)))
+    return classes
 
 
 def _primitive(q: int, coords) -> tuple[int, tuple[int, ...]]:
@@ -204,7 +225,7 @@ def dist_affine(x: PointA, y: PointA, t_max: int) -> DistanceRecord:
 
 def dist_projective(x: PointP, y: PointP, t_max: int) -> DistanceRecord:
     """Minimal max norm of gamma with gamma * x = u * y mod q for a unit u."""
-    return _dist(x, y, t_max, {_code([u * c % y.q for c in y.coords], y.q) for u in units_mod(y.q)})
+    return _dist(x, y, t_max, {_code(v, y.q) for v in _orbit(y.coords, y.q, units_mod(y.q))})
 
 
 def affine_points(n: int, q: int) -> list[tuple[int, ...]]:
@@ -214,7 +235,7 @@ def affine_points(n: int, q: int) -> list[tuple[int, ...]]:
 
 def projective_points(n: int, q: int) -> list[tuple[int, ...]]:
     """Canonical representatives of the unit-scaling classes, ordered."""
-    return sorted({canonical_rep(t, q) for t in affine_points(n, q)})
+    return sorted(set(_classes("P", n, q).values()))
 
 
 def _first_norms(scan: _Scan, point_of: dict, size: int, n: int, t_max: int) -> dict:
@@ -240,7 +261,7 @@ def _all_distances(space: str, n: int, q: int, t_max: int):
     Only the sorted-first point of each signed-permutation orbit is walked;
     its norms count once per orbit member (see the module docstring).
     """
-    classes = {v: canonical_rep(v, q) if space == "P" else v for v in affine_points(n, q)}
+    classes = _classes(space, n, q)
     points = sorted(set(classes.values()))
     point_of = {_code(v, q): _code(p, q) for v, p in classes.items()}
     # the 2^n n! signed permutations P, as (P x)_k = signs[k] * x[perm[k]]

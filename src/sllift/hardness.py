@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import InvalidInput, NoUnitAlpha, SieveExhausted, TooManyRoots
-from .intmat import IntMatrix, det
+from .intmat import IntMatrix, as_ints, det
 from .residue import (
     Residue,
     crt,
@@ -96,6 +96,7 @@ def find_large_root(
     Stops once |n*beta| >= target (when given); otherwise scans the whole
     budget.  Ties prefer the earliest alpha and the smallest beta.
     """
+    modulus, n, alpha_budget = as_ints((modulus, n, alpha_budget))
     if modulus < 2:
         raise InvalidInput(f"need modulus >= 2, got {modulus}")
     if n < 1 or alpha_budget < 1:
@@ -137,6 +138,7 @@ def small_p_factor_root(q: int, n: int, k: int) -> RootWitness | None:
     a mod p^m; beta = 1 mod q/p^m, a mod p^m then satisfies beta^n = 1 and
     |n*beta| > q^(1-1/k) - n.  Returns None when no factor qualifies.
     """
+    q, n, k = as_ints((q, n, k))
     if q < 2:
         raise InvalidInput(f"need q >= 2, got {q}")
     if n < 1 or k < 1:
@@ -181,6 +183,7 @@ def small_nth_powers(q: int, n: int, count: int) -> list[tuple[Residue, Residue,
     kept only if no ratio of integer alphas with an already accepted pair is
     an exact rational n-th power, checked exactly on the integer products.
     """
+    q, n, count = as_ints((q, n, count))
     if q < 2 or n < 1 or count < 1:
         raise InvalidInput("need q >= 2, n >= 1, count >= 1")
     accepted: list[tuple[Residue, Residue, int]] = []
@@ -239,6 +242,7 @@ def hard_instance(q: int, n: int, alpha_budget: int = DEFAULT_ALPHA_BUDGET) -> H
     bound |n*beta| / (n |alpha|); every lift of the resulting class
     satisfies alpha*a_1 + a_2 + ... + a_n = n*beta mod q^2 on its diagonal.
     """
+    q, n, alpha_budget = as_ints((q, n, alpha_budget))
     if q < 2:
         raise InvalidInput(f"need q >= 2, got {q}")
     if n < 1:
@@ -262,6 +266,7 @@ def trace_family_instance(m: int) -> HardInstance:
     the diagonal instance of this witness: beta/alpha = 1/beta = 1-4m mod q,
     as (1+4m)(1-4m) = 1 - 2m*8m.
     """
+    (m,) = as_ints((m,))
     if m < 1:
         raise InvalidInput(f"need m >= 1, got {m}")
     q = 8 * m

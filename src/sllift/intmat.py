@@ -136,6 +136,21 @@ def det(m: IntMatrix) -> int:
     return _eliminate(m.rows)[0]
 
 
+def sl_class(x, q) -> tuple[int, IntMatrix]:
+    """(q, x mod q) for a class x of SL_n(Z/qZ) (IntMatrix or integer rows):
+    q >= 1 by as_ints, x square, det x = 1 mod q; else one InvalidInput text."""
+    (q,) = as_ints((q,))
+    if q < 1:
+        raise InvalidInput(f"need q >= 1, got {q}")
+    rows = x.rows if isinstance(x, IntMatrix) else tuple(map(as_ints, x))
+    if set(map(len, rows)) != {len(rows)}:
+        raise InvalidInput(f"need a square matrix, got rows of lengths {tuple(map(len, rows))}")
+    xq = IntMatrix([[v % q for v in r] for r in rows])
+    if (d := det(xq) % q) != 1 % q:
+        raise InvalidInput(f"det is {d} mod {q}, need 1")
+    return q, xq
+
+
 def _eliminate_mod(rows, q, rhs):
     """A^-1 R mod q for square A with det = 1 mod q, by elimination over Z/qZ.
 

@@ -6,8 +6,8 @@ random offsets) and returns their maximal minors;
 complete_rows turns those into a short last row (extended gcd, then size
 reduction by one fraction-free solve built on the same minors); lift
 corrects that row mod q by coefficients from one elimination over Z/qZ.
-The entry and exit checks are exact: det(x) mod q from the integer
-determinant, det(gamma) = 1 over Z and gamma = x mod q entrywise.
+The entry and exit checks are exact: intmat.sl_class reads x mod q, and
+det(gamma) = 1 over Z and gamma = x mod q entrywise are checked.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def complete_rows(b: IntMatrix, c: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def lift(x: IntMatrix, q: int, seed: int = 0) -> LiftCertificate:
-    """Lift x in SL_n(Z/qZ) to a certified gamma in SL_n(Z).
+    """Lift x in SL_n(Z/qZ) (intmat.sl_class) to a certified gamma in SL_n(Z).
 
     First n-1 rows and their minors come from lift_rows, the last row from
     complete_rows on those minors, corrected modulo q by signed multiples of
@@ -119,23 +119,19 @@ def lift(x: IntMatrix, q: int, seed: int = 0) -> LiftCertificate:
     intmat.solve_mod (entries below q throughout) and their last coordinate
     always vanishes for valid inputs.
     """
-    n = x.nrows
-    if n < 2 or x.ncols != n:
-        raise InvalidInput(f"need a square matrix with n >= 2, got {x.nrows}x{x.ncols}")
-    if q < 1:
-        raise InvalidInput(f"need q >= 1, got {q}")
+    q, xq = intmat.sl_class(x, q)
+    n = xq.nrows
+    if n < 2:
+        raise InvalidInput(f"need n >= 2, got {n}")
     if q == 1:
         gamma = IntMatrix.identity(n)
         return LiftCertificate(gamma, q, n, 1, 1, 0, seed)
-    if intmat.det(x) % q != 1 % q:
-        raise InvalidInput(f"det is {intmat.det(x) % q} mod {q}, need 1")
 
-    top = IntMatrix(x.rows[: n - 1])
+    top = IntMatrix(xq.rows[: n - 1])
     b, minors, trials = lift_rows(top, q, seed)
     v = complete_rows(b, minors)
 
-    w = tuple((x.rows[n - 1][j] - v[j]) % q for j in range(n))
-    xq = x.reduce_mod(q)
+    w = tuple((xq.rows[n - 1][j] - v[j]) % q for j in range(n))
     alpha = intmat.solve_mod(xq, w, q)
     if alpha[n - 1] % q != 0:
         raise AssertionError("last solve coefficient should vanish")
@@ -157,6 +153,7 @@ def lift(x: IntMatrix, q: int, seed: int = 0) -> LiftCertificate:
 
 def random_sl_matrix(n: int, q: int, seed: int) -> IntMatrix:
     """A pseudorandom element of SL_n(Z/qZ) built from elementary operations."""
+    n, q = intmat.as_ints((n, q))
     if n < 2 or q < 1:
         raise InvalidInput(f"need n >= 2 and q >= 1, got n={n}, q={q}")
     rng = random.Random(seed)

@@ -110,18 +110,13 @@ class EnumSpec:
         if len(caps) != n or any(c < 1 for c in caps):
             raise InvalidInput(f"need {n} positive caps, got {self.caps}")
         object.__setattr__(self, "caps", caps)
-        if q < 0:
-            raise InvalidInput(f"need q >= 0, got {q}")
-        if (q > 0) != (self.x is not None):
-            raise InvalidInput("congruence needs both q > 0 and a target x")
         if self.x is not None:
-            rows = self.x.rows if isinstance(self.x, IntMatrix) else self.x
-            rows = tuple(tuple(v % q for v in intmat.as_ints(r)) for r in rows)
-            if len(rows) != n or any(len(r) != n for r in rows):
-                raise InvalidInput("target x must be n x n")
-            if intmat.det(IntMatrix(rows)) % q != 1 % q:
-                raise InvalidInput("target x must have det = 1 mod q")
-            object.__setattr__(self, "x", rows)
+            x = intmat.sl_class(self.x, q)[1]
+            if x.nrows != n:
+                raise InvalidInput(f"need an n x n target for n = {n}, got {x.nrows} x {x.nrows}")
+            object.__setattr__(self, "x", x.rows)
+        elif q != 0:
+            raise InvalidInput("congruence needs both q > 0 and a target x")
 
 
 def _ladder(center: int, q: int, cap: int) -> range:
@@ -518,26 +513,20 @@ def min_lift_norm(x: IntMatrix, q: int, t_max: int) -> int | None:
     """Least T <= t_max admitting a lift of x mod q with max norm <= T.
 
     The cap T starts at the least value every entry's residue ladder
-    reaches and doubles until a lift appears.  x is validated once; each
-    cap's ladders are built once, budgeted as iter_sl budgets that cap,
-    then walked once for their least lift norm (_least_lift), so the first
-    cap with a lift gives the exact answer and memory follows the answer,
-    not t_max.  Returns None when no lift exists by t_max.
+    reaches and doubles until a lift appears.  x is read once (sl_class);
+    each cap's ladders are built once, budgeted as iter_sl budgets that
+    cap, then walked once for their least lift norm (_least_lift), so the
+    first cap with a lift gives the exact answer and memory follows the
+    answer, not t_max.  Returns None when no lift exists by t_max.
     """
-    n = x.nrows
-    if x.ncols != n:
-        raise InvalidInput("x must be square")
-    q, t_max = intmat.as_ints((q, t_max))
-    if q < 1:
-        raise InvalidInput(f"need q >= 1, got {q}")
+    q, x = intmat.sl_class(x, q)
+    (t_max,) = intmat.as_ints((t_max,))
     if t_max < 1:
         raise InvalidInput(f"need t_max >= 1, got {t_max}")
     if q == 1:
         return 1
-    if intmat.det(x) % q != 1 % q:
-        raise InvalidInput("x must have det = 1 mod q")
 
-    t = max(min(r % q, -r % q) for row in x.rows for r in row)  # the least T every entry reaches
+    t = max(min(r, q - r) for row in x.rows for r in row)  # the least T every entry reaches
     if t > t_max:
         return None
     while True:
@@ -573,6 +562,7 @@ def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
 
 def sl_order(n: int, q: int) -> int:
     """|SL_n(Z/qZ)| = q^(n^2 - 1) prod_{p | q} prod_{k = 2..n} (1 - p^-k), exactly."""
+    n, q = intmat.as_ints((n, q))
     if n < 1 or q < 1:
         raise InvalidInput(f"need n >= 1 and q >= 1, got n={n}, q={q}")
     order = q ** (n * n - 1)

@@ -342,6 +342,32 @@ class TestCanonicalization:
         assert c in orbit(v, q) and c == min(orbit(v, q))
         assert PointP(q, uv) == PointP(q, v)
 
+    def test_zero_modulus_is_refused(self):
+        # canonical_rep((1, 0), 0) was a ZeroDivisionError
+        with pytest.raises(InvalidInput, match="^need q >= 1, got 0$"):
+            canonical_rep((1, 0), 0)
+        with pytest.raises(InvalidInput, match="^need integers, got 5.0$"):
+            canonical_rep((1, 0), 5.0)
+
+    @pytest.mark.parametrize("n, qs", [(1, range(1, 30)), (2, range(1, 30)), (3, range(1, 9))])
+    def test_classes_are_the_canonical_reps(self, n, qs):
+        for q in qs:
+            points = affine_points(n, q)
+            assert actions._classes("P", n, q) == {v: canonical_rep(v, q) for v in points}
+            assert actions._classes("A", n, q) == {v: v for v in points}
+
+    @pytest.mark.parametrize("n, q", [(2, 12), (3, 3)])
+    def test_profile_builds_each_unit_orbit_once(self, monkeypatch, n, q):
+        # one unit list per profile and one orbit per projective point, where
+        # canonical_rep rebuilt both for every affine point
+        size = len(projective_points(n, q))
+        units, orbits = [], []
+        units_of, orbit_of = actions.units_mod, actions._orbit
+        monkeypatch.setattr(actions, "units_mod", lambda q: units.append(q) or units_of(q))
+        monkeypatch.setattr(actions, "_orbit", lambda v, q, u: orbits.append(v) or orbit_of(v, q, u))
+        diameter_profile("P", n, q, 8 * q)
+        assert units == [q] and len(orbits) == size
+
     def test_bad_pair_coordinate_is_fixed(self):
         for q in (4, 6, 8, 12, 16):
             half = q // 2

@@ -113,6 +113,9 @@ class TestLiftCommand:
         code, _, err = run(["lift", "--n", "2", "--q", "8", "--matrix", "1,0;0,2"], capsys)
         assert code == 2
         assert "det" in err
+        # the text of intmat.sl_class, the one check of a class mod q
+        code, out, err = run(["lift", "--n", "2", "--q", "5", "--matrix", "2,0;0,2"], capsys)
+        assert (code, out, err) == (2, "", "infeasible: det is 4 mod 5, need 1\n")
 
     def test_random_matrix(self, capsys):
         code, out, _ = run(

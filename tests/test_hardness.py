@@ -15,6 +15,7 @@ from sllift.hardness import (
     trace_family_instance,
 )
 from sllift.intmat import IntMatrix, det
+from sllift.lifting import random_sl_matrix
 from sllift.oracle import EnumSpec, iter_sl, min_lift_norm
 from sllift.residue import Residue, int_nth_root, signed
 
@@ -267,3 +268,20 @@ class TestTraceFamily:
     def test_rejects_zero(self):
         with pytest.raises(InvalidInput):
             trace_family_instance(0)
+
+
+@pytest.mark.parametrize(
+    "call, args, bad",
+    [
+        (hard_instance, (11.0, 2), "11.0"),
+        (find_large_root, (11.0, 2, 4), "11.0"),
+        (small_p_factor_root, (15.0, 2, 2), "15.0"),
+        (small_nth_powers, (11.0, 2, 2), "11.0"),
+        (trace_family_instance, (1.5,), "1.5"),
+        (random_sl_matrix, (2, 5.0, 1), "5.0"),
+    ],
+)
+def test_arguments_must_be_integers(call, args, bad):
+    # each gave a bare TypeError or named a reduced entry, not the argument
+    with pytest.raises(InvalidInput, match=f"^need integers, got {bad}$"):
+        call(*args)

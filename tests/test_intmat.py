@@ -13,10 +13,12 @@ from sllift.intmat import (
     det,
     maximal_minors,
     norm_report,
+    sl_class,
     size_reduce,
     solve_mod,
 )
-from sllift.lifting import random_sl_matrix
+from sllift.lifting import lift, random_sl_matrix
+from sllift.oracle import EnumSpec, min_lift_norm
 
 
 def matmul(a, b):
@@ -373,3 +375,36 @@ class TestIntMatrix:
 
     def test_max_norm(self):
         assert IntMatrix([[3, -9], [2, 1]]).max_norm() == 9
+
+
+# (rows, q, the InvalidInput text): each bad in one way, at n = 2 where it has an n
+BAD_CLASSES = [
+    ([[1, 0, 0], [0, 1, 0]], 5, "need a square matrix, got rows of lengths (3, 3)"),
+    ([[1, 0], [0]], 5, "need a square matrix, got rows of lengths (2, 1)"),
+    ([[2, 0], [0, 2]], 5, "det is 4 mod 5, need 1"),
+    ([[1, 0], [0, 1]], 5.0, "need integers, got 5.0"),
+    ([[1, 0], [0, 1]], 0, "need q >= 1, got 0"),
+]
+
+
+class TestSlClass:
+    @pytest.mark.parametrize("rows, q, message", BAD_CLASSES, ids=["non-square", "ragged", "det", "float-q", "q-zero"])
+    def test_every_reader_refuses_a_bad_class_with_one_text(self, rows, q, message):
+        # lift, min_lift_norm and EnumSpec each had their own check and text
+        readers = {
+            "sl_class": lambda: sl_class(rows, q),
+            "lift": lambda: lift(rows, q),
+            "min_lift_norm": lambda: min_lift_norm(rows, q, 10),
+            "EnumSpec": lambda: EnumSpec(n=2, caps=(1, 1), q=q, x=rows),
+        }
+        for name, read in readers.items():
+            with pytest.raises(InvalidInput) as info:
+                read()
+            assert (name, str(info.value)) == (name, message)
+
+    def test_returns_the_int_modulus_and_the_reduced_class(self):
+        for x in (IntMatrix([[6, -4], [10, 1]]), [[6, -4], [10, 1]], ((True, 1), (0, 1))):
+            q, xq = sl_class(x, True + 4)
+            assert type(q) is int and q == 5
+            assert xq == IntMatrix([[1, 1], [0, 1]])
+        assert sl_class([[0]], 1) == (1, IntMatrix([[0]]))

@@ -196,6 +196,20 @@ class TestLift:
         with pytest.raises(InvalidInput):
             lift(IntMatrix([[1, 0]]), 8)
 
+    def test_q_is_read_as_an_int(self):
+        # q = True gave a certificate whose q was True
+        cert = lift(IntMatrix([[1, 0], [0, 1]]), True)
+        assert type(cert.q) is int and cert.q == 1
+        assert type(lift(IntMatrix([[2, 0], [0, 3]]), True + 4).q) is int
+
+    def test_gamma_depends_only_on_the_class(self):
+        # lift reads x reduced mod q, so a representative off [0, q) lifts alike
+        rng = random.Random(34)
+        for n, q in [(2, 8), (3, 30), (4, 101)]:
+            x = random_sl_matrix(n, q, rng.randrange(2**30))
+            shifted = IntMatrix([[v + q * rng.randrange(-5, 6) for v in row] for row in x.rows])
+            assert lift(shifted, q, seed=3) == lift(x, q, seed=3)
+
     def test_sarnak_style_input(self):
         cert = lift(IntMatrix([[5, 0], [0, 5]]), 8, seed=1)
         assert det(cert.gamma) == 1

@@ -736,6 +736,14 @@ class TestSlOrder:
         with pytest.raises(InvalidInput, match="need n >= 1 and q >= 1"):
             oracle.sl_order(n, q)
 
+    @pytest.mark.parametrize("n, q, bad", [(2, 5.0, "5.0"), (2.0, 5, "2.0"), ("2", 5, "'2'")])
+    def test_n_and_q_must_be_integers(self, n, q, bad):
+        # sl_order(2, 5.0) was the float 120.0
+        with pytest.raises(InvalidInput, match=f"^need integers, got {bad}$"):
+            oracle.sl_order(n, q)
+        order = oracle.sl_order(True + 1, True + 4)
+        assert order == 120 and type(order) is int
+
 
 @st.composite
 def small_specs(draw):
