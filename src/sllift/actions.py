@@ -56,14 +56,11 @@ def canonical_rep(coords, q: int) -> tuple[int, ...]:
     return min(_orbit(coords, q, units_mod(q)))
 
 
-def _classes(space: str, n: int, q: int) -> dict:
-    """affine point -> its point in space: itself in "A", its canonical_rep
-    in "P", each unit orbit built once for all its members."""
-    points = affine_points(n, q)
-    if space == "A":
-        return dict(zip(points, points))
+def _classes(n: int, q: int) -> dict:
+    """affine point -> its canonical_rep, each unit orbit built once for all
+    its members."""
     units, classes = units_mod(q), {}
-    for v in points:
+    for v in affine_points(n, q):
         if v not in classes:
             orbit = _orbit(v, q, units)
             classes.update(dict.fromkeys(orbit, min(orbit)))
@@ -235,7 +232,7 @@ def affine_points(n: int, q: int) -> list[tuple[int, ...]]:
 
 def projective_points(n: int, q: int) -> list[tuple[int, ...]]:
     """Canonical representatives of the unit-scaling classes, ordered."""
-    return sorted(set(_classes("P", n, q).values()))
+    return sorted(set(_classes(n, q).values()))
 
 
 def _first_norms(scan: _Scan, point_of: dict, size: int, n: int, t_max: int) -> dict:
@@ -261,7 +258,7 @@ def _all_distances(space: str, n: int, q: int, t_max: int):
     Only the sorted-first point of each signed-permutation orbit is walked;
     its norms count once per orbit member (see the module docstring).
     """
-    classes = _classes(space, n, q)
+    classes = _classes(n, q) if space == "P" else {v: v for v in affine_points(n, q)}
     points = sorted(set(classes.values()))
     point_of = {_code(v, q): _code(p, q) for v, p in classes.items()}
     # the 2^n n! signed permutations P, as (P x)_k = signs[k] * x[perm[k]]

@@ -142,10 +142,10 @@ def sl_class(x, q) -> tuple[int, IntMatrix]:
     (q,) = as_ints((q,))
     if q < 1:
         raise InvalidInput(f"need q >= 1, got {q}")
-    rows = x.rows if isinstance(x, IntMatrix) else tuple(map(as_ints, x))
+    rows = [[v % q for v in r] for r in (x.rows if isinstance(x, IntMatrix) else map(as_ints, x))]
     if set(map(len, rows)) != {len(rows)}:
         raise InvalidInput(f"need a square matrix, got rows of lengths {tuple(map(len, rows))}")
-    xq = IntMatrix([[v % q for v in r] for r in rows])
+    xq = IntMatrix(rows)
     if (d := det(xq) % q) != 1 % q:
         raise InvalidInput(f"det is {d} mod {q}, need 1")
     return q, xq
