@@ -34,8 +34,7 @@ from functools import cache
 from itertools import compress, count, islice, permutations, product, repeat
 from operator import add, mul
 
-from .errors import BudgetExceeded, InvalidInput
-from .intmat import as_ints
+from .errors import BudgetExceeded, InvalidInput, as_int, as_ints
 from .oracle import iter_shell
 
 
@@ -50,10 +49,8 @@ def _orbit(coords, q: int, units) -> list[tuple[int, ...]]:
 
 def canonical_rep(coords, q: int) -> tuple[int, ...]:
     """Lexicographically least element of the unit-scaling orbit of coords."""
-    (q,) = as_ints((q,))
-    if q < 1:
-        raise InvalidInput(f"need q >= 1, got {q}")
-    return min(_orbit(coords, q, units_mod(q)))
+    q = as_int(q, 1, "q")
+    return min(_orbit(as_ints(coords), q, units_mod(q)))
 
 
 def _classes(n: int, q: int) -> dict:
@@ -69,11 +66,9 @@ def _classes(n: int, q: int) -> dict:
 
 def _primitive(q: int, coords) -> tuple[int, tuple[int, ...]]:
     """(q, coords reduced mod q); raises InvalidInput unless all are integers
-    (as_ints) and coords is primitive mod q >= 1."""
-    q, *coords = as_ints((q, *coords))
-    if q < 1:
-        raise InvalidInput(f"need q >= 1, got {q}")
-    coords = tuple(c % q for c in coords)
+    (as_int, as_ints) and coords is primitive mod q >= 1."""
+    q = as_int(q, 1, "q")
+    coords = tuple(c % q for c in as_ints(coords))
     if math.gcd(q, *coords) != 1:
         raise InvalidInput(f"{coords} is not primitive mod {q}")
     return q, coords
@@ -202,9 +197,7 @@ def _dist(x, y, t_max, targets) -> DistanceRecord:
     """First hit of gamma * x in targets, the codes of y's class."""
     if x.q != y.q or len(x.coords) != len(y.coords):
         raise InvalidInput("points live in different spaces")
-    (t_max,) = as_ints((t_max,))
-    if t_max < 0:
-        raise InvalidInput(f"need t_max >= 0, got {t_max}")
+    t_max = as_int(t_max, 0, "t_max")
     scan = _Scan(x.coords, x.q)
     for m in range(1, t_max + 1):
         shell = _shell(len(x.coords), m)
@@ -286,13 +279,7 @@ def diameter_profile(space: str, n: int, q: int, t_max: int) -> dict:
     """
     if space not in ("A", "P"):
         raise InvalidInput("space must be 'A' or 'P'")
-    n, q, t_max = as_ints((n, q, t_max))
-    if t_max < 0:
-        raise InvalidInput(f"need t_max >= 0, got {t_max}")
-    if n < 1:
-        raise InvalidInput(f"need n >= 1, got {n}")
-    if q < 2:
-        raise InvalidInput(f"need q >= 2, got {q}")
+    n, q, t_max = as_int(n, 1, "n"), as_int(q, 2, "q"), as_int(t_max, 0, "t_max")
     if space == "A" and n == 1 and q > 2:  # phi(q) >= 2 points, and no norm joins two
         raise InvalidInput(f"SL_1(Z) = {{1}} fixes every point, so the affine line mod {q} has no diameter")
     points, norms = _all_distances(space, n, q, t_max)
@@ -327,7 +314,7 @@ def projective_bad_pair(q: int) -> DistanceRecord:
     carry an entry of size at least q/2; the record measures how tight
     that is.
     """
-    (q,) = as_ints((q,))
-    if q < 2 or q % 2 != 0:
-        raise InvalidInput(f"need even q >= 2, got {q}")
+    q = as_int(q, 2, "q")
+    if q % 2:
+        raise InvalidInput(f"need even q, got {q}")
     return dist_projective(PointP(q, (1, 0)), PointP(q, (1, q // 2)), 8 * q)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one reader of
+integer arguments."""
+
+import operator
 
 
 class SlliftError(Exception):
@@ -53,8 +56,9 @@ class SearchExhausted(SlliftError):
     """Search budget ran out before a witness was found."""
 
 
-class InvalidInput(SlliftError):
-    """Input violates a documented precondition."""
+class InvalidInput(SlliftError, ValueError):
+    """Input violates a documented precondition.  A ValueError as well, so
+    callers that catch a bad value the builtin way still catch it."""
 
 
 class BudgetExceeded(SlliftError):
@@ -67,3 +71,24 @@ class SieveExhausted(SlliftError):
 
 class NoUnitAlpha(SlliftError):
     """No admissible unit exists within the search budget."""
+
+
+def as_ints(values) -> tuple[int, ...]:
+    """values as a tuple of ints, by operator.index, so ints and bools pass
+    and a float or a string is refused, not truncated: InvalidInput names it."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(type(v), "__index__")), values)
+        raise InvalidInput(f"need integers, got {bad!r}") from None
+
+
+def as_int(value, low: int | None = None, name: str = "value") -> int:
+    """value as an int (as_ints), refused below low with "need name >= low";
+    an exact int skips the conversion."""
+    if type(value) is not int:
+        (value,) = as_ints((value,))
+    if low is not None and value < low:
+        raise InvalidInput(f"need {name} >= {low}, got {value}")
+    return value

@@ -13,8 +13,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import InvalidInput, NoUnitAlpha, SieveExhausted, TooManyRoots
-from .intmat import IntMatrix, as_ints, det
+from .errors import InvalidInput, NoUnitAlpha, SieveExhausted, TooManyRoots, as_int
+from .intmat import IntMatrix, det
 from .residue import (
     Residue,
     crt,
@@ -57,9 +57,9 @@ class RootWitness:
 
     def __post_init__(self):
         if pow(self.beta.value, self.n, self.modulus) != self.alpha.value:
-            raise ValueError("beta^n != alpha")
+            raise InvalidInput("beta^n != alpha")
         if math.gcd(self.beta.value, self.modulus) != 1:
-            raise ValueError("beta is not a unit")
+            raise InvalidInput("beta is not a unit")
         object.__setattr__(self, "abs_alpha", abs(signed(self.alpha.value, self.alpha.modulus)))
         object.__setattr__(self, "abs_n_beta", abs(signed(self.n * self.beta.value, self.modulus)))
         object.__setattr__(self, "degenerate", self.n == 1)
@@ -96,11 +96,9 @@ def find_large_root(
     Stops once |n*beta| >= target (when given); otherwise scans the whole
     budget.  Ties prefer the earliest alpha and the smallest beta.
     """
-    modulus, n, alpha_budget = as_ints((modulus, n, alpha_budget))
-    if modulus < 2:
-        raise InvalidInput(f"need modulus >= 2, got {modulus}")
-    if n < 1 or alpha_budget < 1:
-        raise InvalidInput("need n >= 1 and alpha_budget >= 1")
+    modulus, n = as_int(modulus, 2, "modulus"), as_int(n, 1, "n")
+    alpha_budget = as_int(alpha_budget, 1, "alpha_budget")
+    target = None if target is None else as_int(target)
     best: RootWitness | None = None
     best_score = -1
     for size in range(1, min(alpha_budget, modulus // 2) + 1):
@@ -138,11 +136,7 @@ def small_p_factor_root(q: int, n: int, k: int) -> RootWitness | None:
     a mod p^m; beta = 1 mod q/p^m, a mod p^m then satisfies beta^n = 1 and
     |n*beta| > q^(1-1/k) - n.  Returns None when no factor qualifies.
     """
-    q, n, k = as_ints((q, n, k))
-    if q < 2:
-        raise InvalidInput(f"need q >= 2, got {q}")
-    if n < 1 or k < 1:
-        raise InvalidInput(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    q, n, k = as_int(q, 2, "q"), as_int(n, 1, "n"), as_int(k, 1, "k")
     best: RootWitness | None = None
     for p, m in factorize(q):
         if n % p == 0 or math.gcd(p - 1, n) <= 1:
@@ -183,9 +177,7 @@ def small_nth_powers(q: int, n: int, count: int) -> list[tuple[Residue, Residue,
     kept only if no ratio of integer alphas with an already accepted pair is
     an exact rational n-th power, checked exactly on the integer products.
     """
-    q, n, count = as_ints((q, n, count))
-    if q < 2 or n < 1 or count < 1:
-        raise InvalidInput("need q >= 2, n >= 1, count >= 1")
+    q, n, count = as_int(q, 2, "q"), as_int(n, 1, "n"), as_int(count, 1, "count")
     accepted: list[tuple[Residue, Residue, int]] = []
     reps: list[int] = []
     scanned = 0
@@ -242,11 +234,7 @@ def hard_instance(q: int, n: int, alpha_budget: int = DEFAULT_ALPHA_BUDGET) -> H
     bound |n*beta| / (n |alpha|); every lift of the resulting class
     satisfies alpha*a_1 + a_2 + ... + a_n = n*beta mod q^2 on its diagonal.
     """
-    q, n, alpha_budget = as_ints((q, n, alpha_budget))
-    if q < 2:
-        raise InvalidInput(f"need q >= 2, got {q}")
-    if n < 1:
-        raise InvalidInput(f"need n >= 1, got {n}")
+    q, n = as_int(q, 2, "q"), as_int(n, 1, "n")
     m2 = q * q
     candidates = (find_large_root(m2, n, alpha_budget), small_p_factor_root(m2, n, 2))
     # max keeps the first of equal claims, so ties go to the searched root
@@ -266,9 +254,7 @@ def trace_family_instance(m: int) -> HardInstance:
     the diagonal instance of this witness: beta/alpha = 1/beta = 1-4m mod q,
     as (1+4m)(1-4m) = 1 - 2m*8m.
     """
-    (m,) = as_ints((m,))
-    if m < 1:
-        raise InvalidInput(f"need m >= 1, got {m}")
+    m = as_int(m, 1, "m")
     q = 8 * m
     m2 = q * q
     beta = Residue(1 + 4 * m, m2)

@@ -10,26 +10,14 @@ this module is the informational operator-norm estimate.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
-from .errors import BadShape, DependentRows, InvalidInput, NotInvertible, NotSquare
+from .errors import BadShape, DependentRows, InvalidInput, NotInvertible, NotSquare, as_int, as_ints
 from .residue import ext_gcd
 
 # Power iteration in op_norm_estimate stops at this relative change or count.
 _OP_NORM_TOL = 1e-9
 _OP_NORM_MAX_ITER = 10000
-
-
-def as_ints(values) -> tuple[int, ...]:
-    """values as a tuple of ints, by operator.index, so ints and bools pass
-    and a float or a string is refused, not truncated: InvalidInput names it."""
-    values = tuple(values)
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        bad = next((v for v in values if not hasattr(type(v), "__index__")), values)
-        raise InvalidInput(f"need integers, got {bad!r}") from None
 
 
 class IntMatrix:
@@ -138,10 +126,8 @@ def det(m: IntMatrix) -> int:
 
 def sl_class(x, q) -> tuple[int, IntMatrix]:
     """(q, x mod q) for a class x of SL_n(Z/qZ) (IntMatrix or integer rows):
-    q >= 1 by as_ints, x square, det x = 1 mod q; else one InvalidInput text."""
-    (q,) = as_ints((q,))
-    if q < 1:
-        raise InvalidInput(f"need q >= 1, got {q}")
+    q >= 1 by as_int, x square, det x = 1 mod q; else one InvalidInput text."""
+    q = as_int(q, 1, "q")
     rows = [[v % q for v in r] for r in (x.rows if isinstance(x, IntMatrix) else map(as_ints, x))]
     if set(map(len, rows)) != {len(rows)}:
         raise InvalidInput(f"need a square matrix, got rows of lengths {tuple(map(len, rows))}")
@@ -203,11 +189,10 @@ def _eliminate_mod(rows, q, rhs):
 
 def adjugate_mod(m: IntMatrix, q: int) -> IntMatrix:
     """Inverse mod q of a matrix with det = 1 mod q (its adjugate reduced)."""
+    q = as_int(q, 1, "q")
     n = m.nrows
     if n != m.ncols:
         raise NotSquare(f"{n}x{m.ncols} matrix")
-    if q < 1:
-        raise InvalidInput(f"need q >= 1, got {q}")
     return IntMatrix(_eliminate_mod(m.rows, q, IntMatrix.identity(n).rows))
 
 
@@ -239,14 +224,13 @@ def solve_mod(a: IntMatrix, w, q: int) -> tuple[int, ...]:
     so the last coefficient is the Cramer determinant det(rows 1..n-1, w)
     mod q and in particular vanishes whenever that determinant does.
     """
+    q = as_int(q, 1, "q")
     n = a.nrows
     w = as_ints(w)
     if len(w) != n:
         raise BadShape(f"vector length {len(w)} vs matrix size {n}")
     if n != a.ncols:
         raise NotSquare(f"{n}x{a.ncols} matrix")
-    if q < 1:
-        raise InvalidInput(f"need q >= 1, got {q}")
     return tuple(y for (y,) in _eliminate_mod(tuple(zip(*a.rows)), q, [(y,) for y in w]))
 
 

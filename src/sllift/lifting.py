@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import intmat
-from .errors import InvalidInput, NotExtendable, NotExtendableModQ, SearchExhausted
+from .errors import InvalidInput, NotExtendable, NotExtendableModQ, SearchExhausted, as_int
 from .intmat import IntMatrix
 from .residue import ext_gcd, signed
 
@@ -76,8 +76,7 @@ def lift_rows(a: IntMatrix, q: int, seed: int) -> tuple[IntMatrix, tuple[int, ..
     have gcd 1.  All candidates agree mod q, so their minors share a factor
     with q exactly when the first candidate's do.
     """
-    if q < 1:
-        raise InvalidInput(f"need q >= 1, got {q}")
+    q = as_int(q, 1, "q")
     base = [[signed(x, q) for x in row] for row in a.rows]
     trials = 0
     for trials, b in enumerate(_row_candidates(base, q, seed), 1):
@@ -153,9 +152,7 @@ def lift(x: IntMatrix, q: int, seed: int = 0) -> LiftCertificate:
 
 def random_sl_matrix(n: int, q: int, seed: int) -> IntMatrix:
     """A pseudorandom element of SL_n(Z/qZ) built from elementary operations."""
-    n, q = intmat.as_ints((n, q))
-    if n < 2 or q < 1:
-        raise InvalidInput(f"need n >= 2 and q >= 1, got n={n}, q={q}")
+    n, q = as_int(n, 2, "n"), as_int(q, 1, "q")
     rng = random.Random(seed)
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(3 * n * n):

@@ -21,6 +21,7 @@ from .errors import (
     NotUnit,
     PrimeTooLarge,
     TooManyRoots,
+    as_int,
 )
 
 # Largest prime for which an exhaustive unit scan (every n but square roots
@@ -34,17 +35,20 @@ _RHO_SEED = 0x5EED
 _RHO_STEPS = 64 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Residue:
     """An element of Z/mZ stored by its canonical representative in [0, m)."""
 
     value: int
     modulus: int
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value: int, modulus: int):
+        # stored past the frozen guard: object.__setattr__, as a generated
+        # __init__ stores, costs three times as much, and root scans build
+        # tens of residues per point
+        fields = self.__dict__
+        fields["modulus"] = modulus = as_int(modulus, 1, "modulus")
+        fields["value"] = as_int(value) % modulus
 
 
 def signed(value: int, modulus: int) -> int:
@@ -170,7 +174,6 @@ def _rho_factor(n: int, rng: random.Random, steps: int) -> tuple[int | None, int
     return (g if g != n else None), steps
 
 
-@lru_cache(maxsize=1 << 12)
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of m >= 1 as ((p1, e1), ...) with p1 < p2 < ...
 
@@ -180,8 +183,11 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     composite cofactor resists the rho budget: _RHO_STEPS squarings shared
     by all attempts of the call, so it returns within seconds.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    return _factorize(as_int(m, 1, "m"))  # read before the cache, where 12.0 would find 12
+
+
+@lru_cache(maxsize=1 << 12)
+def _factorize(m: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
     n = m
     for p in (2, 3, 5):
@@ -237,7 +243,7 @@ def crt(congruences) -> Residue:
 
     Moduli must be pairwise coprime; raises NotCoprime otherwise.
     """
-    items = list(congruences)
+    items = [(as_int(r), as_int(mi, 1, "modulus")) for r, mi in congruences]
     m, idempotents = _crt_basis([mi for _, mi in items])
     return Residue(sum(r * e for (r, _), e in zip(items, idempotents)), m)
 
@@ -320,8 +326,8 @@ def nth_roots(a: Residue, n: int, limit: int | None = None) -> tuple[Residue, ..
     PRIME_SCAN_BOUND (square roots have no prime bound).
     With limit set, raises TooManyRoots once the root count would pass it.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = as_int(n, 1, "n")
+    limit = None if limit is None else as_int(limit)
     m = a.modulus
     if math.gcd(a.value, m) != 1:
         raise NotUnit(f"{a.value} is not a unit mod {m}")
@@ -354,11 +360,10 @@ def is_nth_power_residue(a: Residue, n: int) -> bool:
     For odd p the cyclic-group criterion a^(phi/g) = 1 with g = gcd(n, phi)
     applies; for p = 2 the root set from _prime_power_roots decides it.
     """
+    n = as_int(n, 1, "n")
     m = a.modulus
     if math.gcd(a.value, m) != 1:
         raise NotUnit(f"{a.value} is not a unit mod {m}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if n == 1 or m == 1:
         return True
     for p, e in factorize(m):

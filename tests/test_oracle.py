@@ -731,9 +731,17 @@ class TestSlOrder:
         assert oracle.sl_order(1, 12) == 1
         assert oracle.sl_order(4, 1) == 1
 
-    @pytest.mark.parametrize("n, q", [(0, 5), (2, 0), (-1, 3), (2, -4)])
-    def test_needs_positive_n_and_q(self, n, q):
-        with pytest.raises(InvalidInput, match="need n >= 1 and q >= 1"):
+    @pytest.mark.parametrize(
+        "n, q, text",
+        [
+            (0, 5, "need n >= 1, got 0"),
+            (2, 0, "need q >= 1, got 0"),
+            (-1, 3, "need n >= 1, got -1"),
+            (2, -4, "need q >= 1, got -4"),
+        ],
+    )
+    def test_needs_positive_n_and_q(self, n, q, text):
+        with pytest.raises(InvalidInput, match=f"^{text}$"):
             oracle.sl_order(n, q)
 
     @pytest.mark.parametrize("n, q, bad", [(2, 5.0, "5.0"), (2.0, 5, "2.0"), ("2", 5, "'2'")])
