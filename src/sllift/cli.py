@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import actions, hardness, lifting, oracle, records, residue
-from .errors import BudgetExceeded, InvalidInput, NotExtendableModQ, SlliftError
+from .errors import BudgetExceeded, InvalidInput, SlliftError
 from .intmat import IntMatrix, norm_report
 
 EXIT_OK = 0
@@ -414,7 +414,7 @@ def main(argv=None) -> int:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except SlliftError as exc:
-        if isinstance(exc, (InvalidInput, NotExtendableModQ)):
+        if isinstance(exc, InvalidInput):
             code, prefix = EXIT_INFEASIBLE, "infeasible"
         else:
             code, prefix = EXIT_BUDGET, "budget exhausted"

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and its one reader of
-integer arguments."""
+"""Exception types shared across the package (every input fault an
+InvalidInput, every other one a limit), and its one reader of integer arguments."""
 
 import operator
 
@@ -8,16 +8,45 @@ class SlliftError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class FactorLimitExceeded(SlliftError):
-    """A cofactor survived the configured factoring effort budget."""
+class InvalidInput(SlliftError, ValueError):
+    """Input violates a documented precondition.  A ValueError as well, so
+    callers that catch a bad value the builtin way still catch it."""
 
 
-class NotCoprime(SlliftError):
+class NotCoprime(InvalidInput):
     """CRT moduli share a common factor."""
 
 
-class NotUnit(SlliftError):
+class NotUnit(InvalidInput):
     """Operand is not invertible modulo the given modulus."""
+
+
+class BadShape(InvalidInput):
+    """Matrix has the wrong dimensions for this operation."""
+
+
+class NotSquare(BadShape):
+    """Matrix operation requires a square matrix."""
+
+
+class NotInvertible(InvalidInput):
+    """Matrix determinant is not 1 modulo q."""
+
+
+class DependentRows(InvalidInput):
+    """Rows are linearly dependent over the rationals."""
+
+
+class NotExtendableModQ(InvalidInput):
+    """Rows cannot be extended to SL_n(Z/qZ)."""
+
+
+class NotExtendable(InvalidInput):
+    """Integer rows cannot be completed to an SL_n(Z) matrix."""
+
+
+class FactorLimitExceeded(SlliftError):
+    """A cofactor survived the configured factoring effort budget."""
 
 
 class PrimeTooLarge(SlliftError):
@@ -28,37 +57,8 @@ class TooManyRoots(SlliftError):
     """The root set would exceed the configured cap."""
 
 
-class NotSquare(SlliftError):
-    """Matrix operation requires a square matrix."""
-
-
-class NotInvertible(SlliftError):
-    """Matrix determinant is not 1 modulo q."""
-
-
-class BadShape(SlliftError):
-    """Matrix has the wrong dimensions for this operation."""
-
-
-class DependentRows(SlliftError):
-    """Rows are linearly dependent over the rationals."""
-
-
-class NotExtendableModQ(SlliftError):
-    """Rows cannot be extended to SL_n(Z/qZ)."""
-
-
-class NotExtendable(SlliftError):
-    """Integer rows cannot be completed to an SL_n(Z) matrix."""
-
-
 class SearchExhausted(SlliftError):
     """Search budget ran out before a witness was found."""
-
-
-class InvalidInput(SlliftError, ValueError):
-    """Input violates a documented precondition.  A ValueError as well, so
-    callers that catch a bad value the builtin way still catch it."""
 
 
 class BudgetExceeded(SlliftError):
@@ -73,15 +73,18 @@ class NoUnitAlpha(SlliftError):
     """No admissible unit exists within the search budget."""
 
 
-def as_ints(values) -> tuple[int, ...]:
+def as_ints(values, item=operator.index) -> tuple:
     """values as a tuple of ints, by operator.index, so ints and bools pass
-    and a float or a string is refused, not truncated: InvalidInput names it."""
-    values = tuple(values)
+    and a float, a string or a non-iterable is refused, not truncated:
+    InvalidInput names it.  item reads each value instead: as_ints reads
+    integer rows."""
     try:
-        return tuple(map(operator.index, values))
+        values = tuple(values)
+        return tuple(map(item, values))
     except TypeError:
-        bad = next((v for v in values if not hasattr(type(v), "__index__")), values)
-        raise InvalidInput(f"need integers, got {bad!r}") from None
+        if isinstance(values, tuple):
+            values = next((v for v in values if not hasattr(type(v), "__index__")), values)
+        raise InvalidInput(f"need integers, got {values!r}") from None
 
 
 def as_int(value, low: int | None = None, name: str = "value") -> int:

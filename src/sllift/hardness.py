@@ -56,13 +56,21 @@ class RootWitness:
     degenerate: bool = field(init=False)
 
     def __post_init__(self):
-        if pow(self.beta.value, self.n, self.modulus) != self.alpha.value:
+        # stored past the frozen guard, as in residue.Residue: a root scan
+        # builds a witness per improvement
+        fields = self.__dict__
+        fields["modulus"] = modulus = as_int(self.modulus, 1, "modulus")
+        fields["n"] = n = as_int(self.n, 1, "n")
+        alpha, beta = self.alpha, self.beta
+        if alpha.modulus != modulus or beta.modulus != modulus:
+            raise InvalidInput(f"need alpha, beta mod {modulus}, got mod {alpha.modulus}, {beta.modulus}")
+        if pow(beta.value, n, modulus) != alpha.value:
             raise InvalidInput("beta^n != alpha")
-        if math.gcd(self.beta.value, self.modulus) != 1:
+        if math.gcd(beta.value, modulus) != 1:
             raise InvalidInput("beta is not a unit")
-        object.__setattr__(self, "abs_alpha", abs(signed(self.alpha.value, self.alpha.modulus)))
-        object.__setattr__(self, "abs_n_beta", abs(signed(self.n * self.beta.value, self.modulus)))
-        object.__setattr__(self, "degenerate", self.n == 1)
+        fields["abs_alpha"] = abs(signed(alpha.value, modulus))
+        fields["abs_n_beta"] = abs(signed(n * beta.value, modulus))
+        fields["degenerate"] = n == 1
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ from .residue import ext_gcd
 # Power iteration in op_norm_estimate stops at this relative change or count.
 _OP_NORM_TOL = 1e-9
 _OP_NORM_MAX_ITER = 10000
+# as_matrix's shapes and their faults, by how many rows fewer than columns
+_SHAPES = {0: ("a square matrix", NotSquare), 1: ("an (n-1) x n matrix", BadShape)}
 
 
 class IntMatrix:
@@ -26,13 +28,18 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(map(as_ints, rows))
-        if not rows or not rows[0]:
-            raise BadShape("matrix must have positive dimensions")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise BadShape("ragged rows")
+        rows = as_ints(rows, as_ints)
+        if len(set(map(len, rows))) != 1 or not rows[0]:
+            raise BadShape(f"need rows of one positive length, got rows of lengths {tuple(map(len, rows))}")
         object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, *_):
+        raise AttributeError("IntMatrix is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return IntMatrix, (self.rows,)
 
     @property
     def nrows(self) -> int:
@@ -44,11 +51,13 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
+        n = as_int(n, 1, "n")
         return IntMatrix(
             tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         )
 
     def reduce_mod(self, q: int) -> "IntMatrix":
+        q = as_int(q, 1, "q")
         return IntMatrix(tuple(tuple(x % q for x in r) for r in self.rows))
 
     def with_row(self, v) -> "IntMatrix":
@@ -66,6 +75,16 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({list(map(list, self.rows))})"
+
+
+def as_matrix(m, short: int | None = None) -> IntMatrix:
+    """m as an IntMatrix (as it is, or read once by IntMatrix) with short
+    fewer rows than columns (_SHAPES), or of any shape for short = None."""
+    m = m if isinstance(m, IntMatrix) else IntMatrix(m)
+    if short is not None and m.nrows + short != m.ncols:
+        shape, error = _SHAPES[short]
+        raise error(f"need {shape}, got rows of lengths {tuple(map(len, m.rows))}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -119,19 +138,14 @@ def _eliminate(rows, rhs=()):
 
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free elimination."""
-    if m.nrows != m.ncols:
-        raise NotSquare(f"{m.nrows}x{m.ncols} matrix")
-    return _eliminate(m.rows)[0]
+    return _eliminate(as_matrix(m, 0).rows)[0]
 
 
 def sl_class(x, q) -> tuple[int, IntMatrix]:
     """(q, x mod q) for a class x of SL_n(Z/qZ) (IntMatrix or integer rows):
-    q >= 1 by as_int, x square, det x = 1 mod q; else one InvalidInput text."""
+    q >= 1 by as_int, x square by as_matrix, det x = 1 mod q; else InvalidInput."""
     q = as_int(q, 1, "q")
-    rows = [[v % q for v in r] for r in (x.rows if isinstance(x, IntMatrix) else map(as_ints, x))]
-    if set(map(len, rows)) != {len(rows)}:
-        raise InvalidInput(f"need a square matrix, got rows of lengths {tuple(map(len, rows))}")
-    xq = IntMatrix(rows)
+    xq = as_matrix(x, 0).reduce_mod(q)
     if (d := det(xq) % q) != 1 % q:
         raise InvalidInput(f"det is {d} mod {q}, need 1")
     return q, xq
@@ -189,11 +203,8 @@ def _eliminate_mod(rows, q, rhs):
 
 def adjugate_mod(m: IntMatrix, q: int) -> IntMatrix:
     """Inverse mod q of a matrix with det = 1 mod q (its adjugate reduced)."""
-    q = as_int(q, 1, "q")
-    n = m.nrows
-    if n != m.ncols:
-        raise NotSquare(f"{n}x{m.ncols} matrix")
-    return IntMatrix(_eliminate_mod(m.rows, q, IntMatrix.identity(n).rows))
+    q, m = as_int(q, 1, "q"), as_matrix(m, 0)
+    return IntMatrix(_eliminate_mod(m.rows, q, IntMatrix.identity(m.nrows).rows))
 
 
 def maximal_minors(b: IntMatrix) -> tuple[int, ...]:
@@ -205,9 +216,8 @@ def maximal_minors(b: IntMatrix) -> tuple[int, ...]:
     adj(stack(B, e_j)) e_n, one elimination once c_j != 0.  j runs down
     from n; when every c_j vanishes B is rank-deficient and c = 0.
     """
+    b = as_matrix(b, 1)
     n = b.ncols
-    if b.nrows != n - 1:
-        raise BadShape(f"need (n-1) x n, got {b.nrows}x{b.ncols}")
     e_n = [(0,)] * (n - 1) + [(1,)]
     for j in reversed(range(n)):
         d, x = _eliminate(b.rows + (tuple(int(k == j) for k in range(n)),), e_n)
@@ -224,13 +234,9 @@ def solve_mod(a: IntMatrix, w, q: int) -> tuple[int, ...]:
     so the last coefficient is the Cramer determinant det(rows 1..n-1, w)
     mod q and in particular vanishes whenever that determinant does.
     """
-    q = as_int(q, 1, "q")
-    n = a.nrows
-    w = as_ints(w)
-    if len(w) != n:
-        raise BadShape(f"vector length {len(w)} vs matrix size {n}")
-    if n != a.ncols:
-        raise NotSquare(f"{n}x{a.ncols} matrix")
+    q, a, w = as_int(q, 1, "q"), as_matrix(a, 0), as_ints(w)
+    if len(w) != a.nrows:
+        raise BadShape(f"vector length {len(w)} vs matrix size {a.nrows}")
     return tuple(y for (y,) in _eliminate_mod(tuple(zip(*a.rows)), q, [(y,) for y in w]))
 
 
@@ -248,10 +254,10 @@ def size_reduce(v, b: IntMatrix, c) -> tuple[int, ...]:
     to the rows has length at most 1 (as in unimodular completion), its max
     norm is at most (n/2) max_norm(B) + 1.  Arithmetic is exact integer.
     """
-    v = as_ints(v)
+    b, v, c = as_matrix(b, 1), as_ints(v), as_ints(c)
     n = b.ncols
-    if len(v) != n or b.nrows != n - 1 or len(c) != n:
-        raise BadShape(f"need v, c of length n and B (n-1) x n, got {len(v)}, {len(c)}, {b.nrows}x{n}")
+    if len(v) != n or len(c) != n:
+        raise BadShape(f"need v, c of length {n}, got {len(v)}, {len(c)}")
     norm2 = sum(x * x for x in c)
     if norm2 == 0:
         raise DependentRows("Gram matrix is singular")
@@ -277,6 +283,7 @@ def op_norm_estimate(m: IntMatrix) -> float:
     so the estimate is never below the max norm; it approaches the true
     operator norm from below.
     """
+    m = as_matrix(m)
     top = m.max_norm()
     if top == 0:
         return 0.0
@@ -309,4 +316,5 @@ def op_norm_estimate(m: IntMatrix) -> float:
 
 
 def norm_report(m: IntMatrix) -> NormReport:
+    m = as_matrix(m)
     return NormReport(max_norm=m.max_norm(), op_norm_estimate=op_norm_estimate(m))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import intmat
-from .errors import InvalidInput, NotExtendable, NotExtendableModQ, SearchExhausted, as_int
+from .errors import InvalidInput, NotExtendable, NotExtendableModQ, SearchExhausted, as_int, as_ints
 from .intmat import IntMatrix
 from .residue import ext_gcd, signed
 
@@ -77,7 +77,7 @@ def lift_rows(a: IntMatrix, q: int, seed: int) -> tuple[IntMatrix, tuple[int, ..
     with q exactly when the first candidate's do.
     """
     q = as_int(q, 1, "q")
-    base = [[signed(x, q) for x in row] for row in a.rows]
+    base = [[signed(x, q) for x in row] for row in intmat.as_matrix(a, 1).rows]
     trials = 0
     for trials, b in enumerate(_row_candidates(base, q, seed), 1):
         minors = intmat.maximal_minors(b)
@@ -96,6 +96,7 @@ def complete_rows(b: IntMatrix, c: tuple[int, ...]) -> tuple[int, ...]:
     Solves <v0, c> = 1 by iterated extended gcd, then size-reduces v0
     against the rows of B, which reads its projection off c.
     """
+    b, c = intmat.as_matrix(b, 1), as_ints(c)
     g, coeffs = c[0], [1]
     for ci in c[1:]:
         g, s, t = ext_gcd(g, ci)

@@ -449,6 +449,7 @@ def iter_shell(n: int, m: int):
     checked eagerly on what the builder walks: at n = 2 its 8m face rows,
     otherwise the cap-m box, by iter_sl itself.
     """
+    n, m = as_int(n, 1, "n"), as_int(m, 1, "m")
     spec = EnumSpec(n=n, caps=(m,) * n)
     if n == 2:  # iter_sl order is the lexicographic order of the row tuples
         _check_size(8 * m)
@@ -539,8 +540,7 @@ def norm_count_table(n: int, t_list) -> list[tuple[int, int, float | None]]:
     are then read off one cached totient prefix (_n2_sieve); otherwise each
     distinct threshold is one count_sl.
     """
-    n = as_int(n, 1, "n")
-    t_list = [as_int(t, 0, "T") for t in t_list]
+    n, t_list = as_int(n, 1, "n"), as_ints(t_list, lambda t: as_int(t, 0, "T"))
     exponent = n * n - n
     t_max = max(t_list, default=0)
     if t_max > 0:

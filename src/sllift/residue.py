@@ -17,11 +17,13 @@ from itertools import product as _cartesian
 
 from .errors import (
     FactorLimitExceeded,
+    InvalidInput,
     NotCoprime,
     NotUnit,
     PrimeTooLarge,
     TooManyRoots,
     as_int,
+    as_ints,
 )
 
 # Largest prime for which an exhaustive unit scan (every n but square roots
@@ -123,6 +125,7 @@ def int_nth_root(x: int, n: int) -> int:
     The start 2^ceil(bits(x)/n) lies above the root, and each step stays at
     or above the floor while it decreases, so the first non-decrease is it.
     """
+    x, n = as_int(x, 0, "x"), as_int(n, 1, "n")
     if x < 2:
         return x
     r = 1 << -(-x.bit_length() // n)
@@ -243,9 +246,11 @@ def crt(congruences) -> Residue:
 
     Moduli must be pairwise coprime; raises NotCoprime otherwise.
     """
-    items = [(as_int(r), as_int(mi, 1, "modulus")) for r, mi in congruences]
-    m, idempotents = _crt_basis([mi for _, mi in items])
-    return Residue(sum(r * e for (r, _), e in zip(items, idempotents)), m)
+    pairs = as_ints(congruences, as_ints)
+    if set(map(len, pairs)) - {2}:
+        raise InvalidInput(f"need (residue, modulus) pairs, got {pairs}")
+    m, idempotents = _crt_basis([as_int(mi, 1, "modulus") for _, mi in pairs])
+    return Residue(sum(r * e for (r, _), e in zip(pairs, idempotents)), m)
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:

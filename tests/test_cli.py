@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 from sllift import cli, lifting, oracle, records
-from sllift.errors import NotExtendableModQ, SearchExhausted, SlliftError
+from sllift.errors import DependentRows, NotExtendableModQ, NotSquare, SearchExhausted, SlliftError
 from sllift.intmat import IntMatrix, det
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "record.schema.json")
@@ -177,6 +177,8 @@ class TestLiftCommand:
         "error, code, prefix",
         [
             (NotExtendableModQ, 2, "infeasible: "),
+            (NotSquare, 2, "infeasible: "),
+            (DependentRows, 2, "infeasible: "),
             (SearchExhausted, 3, "budget exhausted: "),
             (_Unlisted, 3, "budget exhausted: "),
         ],

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -362,6 +364,17 @@ class TestIntMatrix:
         with pytest.raises(InvalidInput, match=f"got {bad!r}"):
             IntMatrix([[1, 0]]).with_row((bad, 1))
 
+    def test_is_immutable(self):
+        # `m.rows = ((9,),)` succeeded and left a hashed key silently changed
+        m = IntMatrix([[1, 2], [3, 7]])
+        key = hash(m)
+        with pytest.raises(AttributeError, match="^IntMatrix is immutable$"):
+            m.rows = ((9,),)
+        with pytest.raises(AttributeError, match="^IntMatrix is immutable$"):
+            del m.rows
+        assert m.rows == ((1, 2), (3, 7)) and hash(m) == key
+        assert pickle.loads(pickle.dumps(m)) == copy.deepcopy(m) == copy.copy(m) == m
+
     def test_ints_and_bools_are_accepted(self):
         m = IntMatrix([[True, False], (0, 1)])
         assert m.rows == ((1, 0), (0, 1)) and type(m.rows[0][0]) is int
@@ -380,7 +393,7 @@ class TestIntMatrix:
 # (rows, q, the InvalidInput text): each bad in one way, at n = 2 where it has an n
 BAD_CLASSES = [
     ([[1, 0, 0], [0, 1, 0]], 5, "need a square matrix, got rows of lengths (3, 3)"),
-    ([[1, 0], [0]], 5, "need a square matrix, got rows of lengths (2, 1)"),
+    ([[1, 0], [0]], 5, "need rows of one positive length, got rows of lengths (2, 1)"),
     ([[2, 0], [0, 2]], 5, "det is 4 mod 5, need 1"),
     ([[1, 0], [0, 1]], 5.0, "need integers, got 5.0"),
     ([[1, 0], [0, 1]], 0, "need q >= 1, got 0"),
