@@ -376,14 +376,9 @@ def _fuse_matrix_values(argv):
     """Join '--matrix -3,0;0,5' into '--matrix=...' so a leading minus in
     the first entry is not mistaken for an option flag."""
     out = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token == "--matrix" and i + 1 < len(argv):
-            out.append(f"--matrix={argv[i + 1]}")
-            skip = True
+    for token in argv:
+        if out and out[-1] == "--matrix":
+            out[-1] = f"--matrix={token}"
         else:
             out.append(token)
     return out

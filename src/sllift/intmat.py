@@ -22,24 +22,17 @@ _OP_NORM_MAX_ITER = 10000
 _SHAPES = {0: ("a square matrix", NotSquare), 1: ("an (n-1) x n matrix", BadShape)}
 
 
+@dataclass(frozen=True, init=False)
 class IntMatrix:
     """Immutable dense matrix with arbitrary-precision integer entries."""
 
-    __slots__ = ("rows",)
+    rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows):
         rows = as_ints(rows, as_ints)
         if len(set(map(len, rows))) != 1 or not rows[0]:
             raise BadShape(f"need rows of one positive length, got rows of lengths {tuple(map(len, rows))}")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *_):
-        raise AttributeError("IntMatrix is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return IntMatrix, (self.rows,)
 
     @property
     def nrows(self) -> int:
@@ -66,12 +59,6 @@ class IntMatrix:
 
     def max_norm(self) -> int:
         return max(abs(x) for r in self.rows for x in r)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"IntMatrix({list(map(list, self.rows))})"

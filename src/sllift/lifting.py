@@ -76,7 +76,7 @@ def lift_rows(a: IntMatrix, q: int, seed: int) -> tuple[IntMatrix, tuple[int, ..
     have gcd 1.  All candidates agree mod q, so their minors share a factor
     with q exactly when the first candidate's do.
     """
-    q = as_int(q, 1, "q")
+    seed, q = as_int(seed, name="seed"), as_int(q, 1, "q")
     base = [[signed(x, q) for x in row] for row in intmat.as_matrix(a, 1).rows]
     trials = 0
     for trials, b in enumerate(_row_candidates(base, q, seed), 1):
@@ -119,6 +119,7 @@ def lift(x: IntMatrix, q: int, seed: int = 0) -> LiftCertificate:
     intmat.solve_mod (entries below q throughout) and their last coordinate
     always vanishes for valid inputs.
     """
+    seed = as_int(seed, name="seed")
     q, xq = intmat.sl_class(x, q)
     n = xq.nrows
     if n < 2:
@@ -153,7 +154,7 @@ def lift(x: IntMatrix, q: int, seed: int = 0) -> LiftCertificate:
 
 def random_sl_matrix(n: int, q: int, seed: int) -> IntMatrix:
     """A pseudorandom element of SL_n(Z/qZ) built from elementary operations."""
-    n, q = as_int(n, 2, "n"), as_int(q, 1, "q")
+    seed, n, q = as_int(seed, name="seed"), as_int(n, 2, "n"), as_int(q, 1, "q")
     rng = random.Random(seed)
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(3 * n * n):

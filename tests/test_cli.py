@@ -137,6 +137,19 @@ class TestLiftCommand:
         assert all((gamma[i][i] + 3) % 8 == 0 for i in range(2))
 
     @pytest.mark.parametrize(
+        "tail, err",
+        [
+            # a trailing --matrix has no value to take: argparse names the option
+            (["--matrix"], "usage error: argument --matrix: expected one argument\n"),
+            # --matrix takes the next token as its value even when it looks like a flag
+            (["--matrix", "--json"], "usage error: bad matrix entry '--json'\n"),
+        ],
+    )
+    def test_matrix_takes_the_next_token(self, capsys, tail, err):
+        code, out, got = run(["lift", "--n", "2", "--q", "5", *tail], capsys)
+        assert (code, out, got) == (1, "", err)
+
+    @pytest.mark.parametrize(
         "argv, text",
         [
             (

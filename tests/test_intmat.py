@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sllift.actions import PointA, PointP, dist_affine
 from sllift.errors import BadShape, DependentRows, InvalidInput, NotInvertible, NotSquare
+from sllift.hardness import find_large_root, hard_instance
 from sllift.intmat import (
     IntMatrix,
     adjugate_mod,
@@ -21,6 +24,7 @@ from sllift.intmat import (
 )
 from sllift.lifting import lift, random_sl_matrix
 from sllift.oracle import EnumSpec, min_lift_norm
+from sllift.residue import Residue
 
 
 def matmul(a, b):
@@ -368,9 +372,9 @@ class TestIntMatrix:
         # `m.rows = ((9,),)` succeeded and left a hashed key silently changed
         m = IntMatrix([[1, 2], [3, 7]])
         key = hash(m)
-        with pytest.raises(AttributeError, match="^IntMatrix is immutable$"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'rows'$"):
             m.rows = ((9,),)
-        with pytest.raises(AttributeError, match="^IntMatrix is immutable$"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'rows'$"):
             del m.rows
         assert m.rows == ((1, 2), (3, 7)) and hash(m) == key
         assert pickle.loads(pickle.dumps(m)) == copy.deepcopy(m) == copy.copy(m) == m
@@ -388,6 +392,35 @@ class TestIntMatrix:
 
     def test_max_norm(self):
         assert IntMatrix([[3, -9], [2, 1]]).max_norm() == 9
+
+
+# one value of each of the package's value types, all frozen dataclasses
+VALUES = {
+    "IntMatrix": lambda: IntMatrix([[1, 2], [3, 7]]),
+    "NormReport": lambda: norm_report(IntMatrix([[1, 2], [3, 7]])),
+    "Residue": lambda: Residue(3, 7),
+    "EnumSpec": lambda: EnumSpec(n=2, caps=(3, 3), q=5, x=[[1, 0], [0, 1]]),
+    "RootWitness": lambda: find_large_root(49, 2, 10),
+    "HardInstance": lambda: hard_instance(7, 2),
+    "LiftCertificate": lambda: lift(IntMatrix([[3, 3], [0, 5]]), 7, seed=0),
+    "PointA": lambda: PointA(5, (1, 7)),
+    "PointP": lambda: PointP(5, (2, 4)),
+    "DistanceRecord": lambda: dist_affine(PointA(5, (1, 0)), PointA(5, (0, 1)), 5),
+}
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES.keys())
+def test_value_types_are_frozen_and_copy_by_value(make):
+    value = make()
+    assert dataclasses.is_dataclass(value)
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and hash(twin) == hash(value)
+    assert (value == object()) is False
 
 
 # (rows, q, the InvalidInput text): each bad in one way, at n = 2 where it has an n

@@ -243,6 +243,27 @@ class TestLift:
         b = lift(x, 101, seed=5)
         assert a.gamma == b.gamma and a.trials_used == b.trials_used
 
+    @pytest.mark.parametrize("seed", [None, "a", 1.5])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seed: lift(IntMatrix([[3, 3], [0, 5]]), 7, seed=seed),
+            lambda seed: lift(IntMatrix([[0, 0], [0, 0]]), 1, seed=seed),
+            lambda seed: lift_rows(IntMatrix([[3, 3]]), 7, seed),
+            lambda seed: random_sl_matrix(2, 7, seed),
+        ],
+        ids=["lift", "lift-q1", "lift_rows", "random_sl_matrix"],
+    )
+    def test_seed_is_read_as_an_int(self, call, seed):
+        # seed=None drew from the clock, so two calls could return different
+        # gammas, and seed="a" came back as the certificate's seed
+        with pytest.raises(InvalidInput, match=f"need integers, got {seed!r}"):
+            call(seed)
+
+    def test_bool_seed_is_echoed_as_an_int(self):
+        cert = lift(IntMatrix([[3, 3], [0, 5]]), 7, seed=True)
+        assert type(cert.seed) is int and cert == lift(IntMatrix([[3, 3], [0, 5]]), 7, seed=1)
+
     def test_minors_once_per_trial(self, monkeypatch):
         # lift runs each public stage once, and the accepted candidate's
         # minors feed the completion: only a rejected candidate costs a
