@@ -1,10 +1,11 @@
 """Exact integer and mod-q matrix algebra.
 
 Determinants, maximal minors and size reduction against a fixed basis run on
-one fraction-free (Bareiss) elimination over Z; inverses mod q and the mod-q
-row-combination solver run on one Gaussian elimination over Z/qZ whose
-entries stay below q.  All arithmetic is exact integer; the only float in
-this module is the informational operator-norm estimate.
+one fraction-free (Bareiss) elimination over Z, the last two on (n-1)-square
+systems of an (n-1) x n matrix; inverses mod q and the mod-q row-combination
+solver run on one Gaussian elimination over Z/qZ whose entries stay below q.
+All arithmetic is exact integer; the only float in this module is the
+informational operator-norm estimate.
 """
 
 from __future__ import annotations
@@ -147,9 +148,10 @@ def _eliminate_mod(rows, q, rhs):
     an invertible matrix only when q has two prime factors, as
     [[2, 3], [3, 2]] mod 6) is cleared by 2x2 row steps [[s, t], [-b/g, a/g]] of
     determinant 1 (s*a + t*b = g = gcd(a, b)), which leave the column's gcd
-    on the diagonal.  det(A) mod q is then the signed product of the
-    diagonal; NotInvertible reports it unless it is 1, and otherwise every
-    pivot is a unit and back-substitution gives the solution.
+    on the diagonal.  Both touch only columns k.. of rows k..: the columns
+    before k are already 0 there.  det(A) mod q is then the signed product
+    of the diagonal; NotInvertible reports it unless it is 1, and otherwise
+    every pivot is a unit and back-substitution gives the solution.
     """
     n = len(rows)
     a = [[x % q for x in r] + [y % q for y in extra] for r, extra in zip(rows, rhs)]
@@ -161,19 +163,20 @@ def _eliminate_mod(rows, q, rhs):
                 if a[i][k]:
                     g, s, t = ext_gcd(a[k][k], a[i][k])
                     u, w = a[k][k] // g, a[i][k] // g
-                    top, row = a[k], a[i]
-                    a[k] = [(s * x + t * y) % q for x, y in zip(top, row)]
-                    a[i] = [(u * y - w * x) % q for x, y in zip(top, row)]
+                    top, row = a[k][k:], a[i][k:]
+                    a[k][k:] = [(s * x + t * y) % q for x, y in zip(top, row)]
+                    a[i][k:] = [(u * y - w * x) % q for x, y in zip(top, row)]
         else:
             if unit != k:
                 a[k], a[unit] = a[unit], a[k]
                 d = -d
-            top = a[k]
-            inv = pow(top[k], -1, q)
+            top = a[k][k:]
+            inv = pow(top[0], -1, q)
             for i in range(k + 1, n):
-                f = a[i][k] * inv % q
+                row = a[i]
+                f = row[k] * inv % q
                 if f:
-                    a[i] = [(x - f * y) % q for x, y in zip(a[i], top)]
+                    row[k:] = [(x - f * y) % q for x, y in zip(row[k:], top)]
         d = d * a[k][k] % q
     if d != 1 % q:
         raise NotInvertible(f"det is {d} mod {q}, need 1")
@@ -198,18 +201,22 @@ def maximal_minors(b: IntMatrix) -> tuple[int, ...]:
     """Signed maximal minors c of an (n-1) x n matrix.
 
     Signs are fixed so det(stack(B, v)) = <v, c> for every row vector v,
-    i.e. c_i = (-1)^(n+i) det(B with column i deleted), i counted from 1.
-    These are the last-row cofactors of stack(B, r) for any r, so c is
-    adj(stack(B, e_j)) e_n, one elimination once c_j != 0.  j runs down
-    from n; when every c_j vanishes B is rank-deficient and c = 0.
+    i.e. c_i = (-1)^(n+i) det(B_i), i counted from 1 and B_i being B with
+    column i deleted.  B c = 0, so once c_j != 0 the rest follows from one
+    (n-1)-square elimination of B_j with B's column j on the right:
+    c_j = (-1)^(n+j) det(B_j) and c_J = -(-1)^(n+j) adj(B_j) B[:, j] on the
+    other columns J.  j runs down from n; when every B_j is singular, B is
+    rank-deficient and c = 0.
     """
     b = as_matrix(b, 1)
     n = b.ncols
-    e_n = [(0,)] * (n - 1) + [(1,)]
     for j in reversed(range(n)):
-        d, x = _eliminate(b.rows + (tuple(int(k == j) for k in range(n)),), e_n)
+        d, x = _eliminate([r[:j] + r[j + 1 :] for r in b.rows], [(r[j],) for r in b.rows])
         if d:
-            return tuple(v for (v,) in x)
+            sign = 1 if (n + j) % 2 else -1  # (-1)^(n+j) for j counted from 1
+            c = [-sign * y for (y,) in x]
+            c.insert(j, sign * d)
+            return tuple(c)
     return (0,) * n
 
 
@@ -233,13 +240,16 @@ def size_reduce(v, b: IntMatrix, c) -> tuple[int, ...]:
 
     c is orthogonal to every row of B, so the projection of v onto their
     span is |c|^-2 (|c|^2 v - <v, c> c) = B^T a with a = G^-1 B v
-    (G = B B^T, det G = |c|^2 by Cauchy-Binet).  One fraction-free solve of
-    [B; e_j]^T y = |c|^2 v - <v, c> c, for the last column j with c_j != 0
-    (det = c_j), gives y = (|c|^2 a, 0), and the function returns
-    v - sum round(a_i) row_i(B), rounding ties toward +inf.  The output is
-    congruent to v mod the row lattice; when the component of v orthogonal
-    to the rows has length at most 1 (as in unimodular completion), its max
-    norm is at most (n/2) max_norm(B) + 1.  Arithmetic is exact integer.
+    (G = B B^T, det G = |c|^2 by Cauchy-Binet).  Those are n equations in
+    n - 1 unknowns; the ones off the last column j with c_j != 0 are the
+    (n-1)-square system B_j^T y = (|c|^2 v - <v, c> c)_J (B_j being B
+    without column j, det = +-c_j), and one fraction-free solve of it gives
+    y = |c|^2 a.  The function returns v - sum round(a_i) row_i(B),
+    rounding ties toward +inf, so v + B^T k reduces to the same vector for
+    every integer k.  The output is congruent to v mod the row lattice;
+    when the component of v orthogonal to the rows has length at most 1
+    (as in unimodular completion), its max norm is at most
+    (n/2) max_norm(B) + 1.  Arithmetic is exact integer.
     """
     b, v, c = as_matrix(b, 1), as_ints(v), as_ints(c)
     n = b.ncols
@@ -250,8 +260,9 @@ def size_reduce(v, b: IntMatrix, c) -> tuple[int, ...]:
         raise DependentRows("Gram matrix is singular")
     j = max(i for i, x in enumerate(c) if x)
     vc = sum(x * y for x, y in zip(v, c))
-    rhs = [(norm2 * x - vc * y,) for x, y in zip(v, c)]
-    cols = [col + (int(i == j),) for i, col in enumerate(zip(*b.rows))]
+    cols = list(zip(*b.rows))
+    del cols[j]
+    rhs = [(norm2 * x - vc * y,) for i, (x, y) in enumerate(zip(v, c)) if i != j]
     d, x = _eliminate(cols, rhs)
     den = d * norm2
     out = list(v)

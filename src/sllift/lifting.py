@@ -2,7 +2,8 @@
 
 Pipeline: lift_rows lifts the first n-1 rows so they extend to SL_n(Z)
 (the first extendable candidate of one stream: the signed lift, then
-random offsets) and returns their maximal minors;
+random offsets, skipping without minors those whose rows are dependent
+mod 2) and returns their maximal minors;
 complete_rows turns those into a short last row (extended gcd, then size
 reduction by one fraction-free solve built on the same minors); lift
 corrects that row mod q by coefficients from one elimination over Z/qZ.
@@ -68,18 +69,39 @@ def _row_candidates(base: list[list[int]], q: int, seed: int):
         level = min(2 * level, bound)
 
 
+def _dependent_mod2(b: IntMatrix) -> bool:
+    """Whether the rows of b are linearly dependent mod 2 (rank over GF(2)
+    below the row count), by elimination on one bitmask per row."""
+    pivots = {}
+    for row in b.rows:
+        mask = sum(1 << k for k, x in enumerate(row) if x & 1)
+        while mask:
+            top = mask.bit_length()
+            if top not in pivots:
+                pivots[top] = mask
+                break
+            mask ^= pivots[top]
+        else:
+            return True
+    return False
+
+
 def lift_rows(a: IntMatrix, q: int, seed: int) -> tuple[IntMatrix, tuple[int, ...], int]:
     """Lift (n-1) x n rows mod q to integer rows extending to SL_n(Z).
 
     Returns (B, maximal_minors(B), trials_used), B = A0 + qX the first
     candidate of _row_candidates (A0 the entrywise signed lift) whose minors
     have gcd 1.  All candidates agree mod q, so their minors share a factor
-    with q exactly when the first candidate's do.
+    with q exactly when the first candidate's do; once the first has
+    settled that, a later candidate whose rows are dependent mod 2 (so 2
+    divides every minor) is refused without computing its minors.
     """
     seed, q = as_int(seed, name="seed"), as_int(q, 1, "q")
     base = [[signed(x, q) for x in row] for row in intmat.as_matrix(a, 1).rows]
     trials = 0
     for trials, b in enumerate(_row_candidates(base, q, seed), 1):
+        if trials > 1 and _dependent_mod2(b):
+            continue
         minors = intmat.maximal_minors(b)
         g = reduce(math.gcd, minors)
         if g == 1:

@@ -65,18 +65,16 @@ def signed(value: int, modulus: int) -> int:
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g.
+
+    Callers may rely on nothing about (s, t) beyond that identity: s is
+    the inverse of a/g modulo |b/g| (0 when that is 1), and t follows.
+    """
+    g = math.gcd(a, b)
+    if b == 0:
+        return g, 1 if a >= 0 else -1, 0
+    s = pow(a // g, -1, abs(b) // g)
+    return g, s, (g - s * a) // b
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

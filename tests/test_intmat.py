@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sllift.actions import PointA, PointP, dist_affine
@@ -51,6 +51,17 @@ def solve_fractions(g, rhs):
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
     return [m[i][k] for i in range(k)]
+
+
+def laplace_det(rows):
+    """Reference: determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
 
 
 def size_reduce_fractions(v, b):
@@ -214,25 +225,32 @@ class TestMaximalMinors:
             assert det(b.with_row(v)) == sum(x * y for x, y in zip(v, c))
 
     def test_matches_deleted_column_determinants(self):
-        # the definition, one determinant per deleted column, on matrices
-        # where the last minors vanish or the rows are dependent
+        # the definition, one determinant per deleted column expanded by
+        # cofactors, on matrices where the last minors vanish (c then comes
+        # from an earlier column's system) or the rows are dependent
         rng = random.Random(29)
+        seen = set()
         for _ in range(300):
-            n = rng.randrange(2, 7)
+            n = rng.randrange(2, 8)
             rows = [list(r) for r in rand_matrix(rng, n - 1, n, rng.choice([1, 3, 10**6])).rows]
-            shape = rng.randrange(4)
+            shape, k = rng.randrange(5), rng.randrange(-3, 4)
             if shape == 1:  # zero columns, so the first tried minors vanish
                 for r in rows:
                     r[n - 1] = 0
                     r[rng.randrange(n)] = 0
-            elif shape == 2 and n > 2:  # dependent rows
-                rows[0] = [rng.randrange(-3, 4) * v for v in rows[-1]]
-            b = IntMatrix(rows)
+            elif shape == 2:  # a zero first column: only c_1 can be nonzero
+                for r in rows:
+                    r[0] = 0
+            elif shape == 3:  # B without its last column is singular
+                rows[0][:-1] = [k * x for x in rows[-1][:-1]] if n > 2 else [0]
+            elif shape == 4:  # dependent rows
+                rows[0] = [k * x for x in rows[-1]] if n > 2 else [0, 0]
             expected = tuple(
-                (-1) ** (n + i + 1) * det(IntMatrix([r[:i] + r[i + 1 :] for r in rows]))
-                for i in range(n)
+                (-1) ** (n + i + 1) * laplace_det([r[:i] + r[i + 1 :] for r in rows]) for i in range(n)
             )
-            assert maximal_minors(b) == expected, rows
+            assert maximal_minors(IntMatrix(rows)) == expected, rows
+            seen.add((shape, expected[-1] == 0, any(expected)))
+        assert {(0, False, True), (2, True, True), (3, True, True), (4, True, False)} <= seen
 
 
 class TestSolveMod:
@@ -304,6 +322,27 @@ class TestSizeReduce:
         b = IntMatrix([[1, 0, 0]])
         with pytest.raises(BadShape):
             size_reduce((1, 2, 3), b, (0, 0, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=n - 1, max_size=n - 1),
+                st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n),
+                st.lists(st.integers(-(10**3), 10**3), min_size=n - 1, max_size=n - 1),
+            )
+        )
+    )
+    def test_one_output_per_coset(self, args):
+        # a = G^-1 B v moves by k when v moves by B^T k, and
+        # floor(a + k + 1/2) = floor(a + 1/2) + k, so any solution of
+        # <v, c> = 1 reduces to the same row
+        rows, v, k = args
+        b = IntMatrix(rows)
+        c = maximal_minors(b)
+        assume(any(c))
+        shifted = [x + sum(ki * r[i] for ki, r in zip(k, rows)) for i, x in enumerate(v)]
+        assert size_reduce(shifted, b, c) == size_reduce(v, b, c)
 
     def test_stays_in_coset(self):
         rng = random.Random(41)

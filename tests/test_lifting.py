@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -266,8 +267,10 @@ class TestLift:
 
     def test_minors_once_per_trial(self, monkeypatch):
         # lift runs each public stage once, and the accepted candidate's
-        # minors feed the completion: only a rejected candidate costs a
-        # further maximal_minors call, and every call is a search trial
+        # minors feed the completion: maximal_minors runs for the first row
+        # candidate (it settles the gcd with q for all of them) and for each
+        # later one whose rows are independent mod 2, never for one whose
+        # rows are dependent mod 2 (2 divides all its minors)
         events, open_stages = [], []
 
         def staged(name, stage):
@@ -284,24 +287,33 @@ class TestLift:
         original = lifting.intmat.maximal_minors
 
         def counted(b):
-            events.append(("minors", tuple(open_stages)))
+            events.append(("minors", tuple(open_stages), b))
             return original(b)
 
         monkeypatch.setattr(lifting.intmat, "maximal_minors", counted)
         for name in ("lift_rows", "complete_rows"):
             monkeypatch.setattr(lifting, name, staged(name, getattr(lifting, name)))
         rng = random.Random(53)
-        retried = 0
+        retried = skipped = 0
         for _ in range(60):
             n = rng.randrange(2, 6)
             q = rng.choice([2, 12, 101, 360, 10**9 + 7])
             x = random_sl_matrix(n, q, rng.randrange(2**30))
+            seed = rng.randrange(2**30)
             events.clear()
-            cert = lift(x, q, seed=rng.randrange(2**30))
-            trials = [("minors", ("lift_rows",))] * cert.trials_used
-            assert events == ["lift_rows", *trials, "complete_rows"]
+            cert = lift(x, q, seed=seed)
+            base = [[signed(e, q) for e in row] for row in x.rows[: n - 1]]
+            tried = itertools.islice(lifting._row_candidates(base, q, seed), cert.trials_used)
+            # rows independent mod 2 exactly when some minor is odd
+            minored = [b for i, b in enumerate(tried) if i == 0 or reduce(math.gcd, original(b)) % 2]
+            assert events == [
+                "lift_rows",
+                *(("minors", ("lift_rows",), b) for b in minored),
+                "complete_rows",
+            ]
             retried += cert.trials_used > 1
-        assert retried > 0
+            skipped += cert.trials_used - len(minored)
+        assert retried > 0 and skipped > 0
 
     def test_row_bound_ratios_small_scale(self):
         # the measured constants at desk scale stay far below the pin used
@@ -317,6 +329,18 @@ class TestLift:
                     worst_last = max(worst_last, cert.last_row_max / (q * q * math.log2(q)))
                 assert worst_first < 4.0
                 assert worst_last < 4.0
+
+
+# sha256 of the certificates' reprs over PIN_GRID; a change to the lift's
+# arithmetic (eliminations, Bezout pairs, candidates skipped) must leave
+# every certificate as it is, byte for byte
+LIFT_PIN = "8079da85ed248a8c28ff1eda44fac349a15df96001acc67111b33056e197639b"
+PIN_GRID = tuple(itertools.product((2, 3, 4, 8, 16), (2, 12, 30030, 65536, 10**9 + 7), range(3)))
+
+
+def test_certificates_are_pinned():
+    reprs = [repr(lift(random_sl_matrix(n, q, s), q, seed=s)) for n, q, s in PIN_GRID]
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == LIFT_PIN
 
 
 class TestLiftProperties:

@@ -330,12 +330,30 @@ class TestIsNthPowerResidue:
 
 def test_ext_gcd():
     rng = random.Random(5)
-    for _ in range(300):
-        a = rng.randrange(-10**6, 10**6)
-        b = rng.randrange(-10**6, 10**6)
-        g, s, t = ext_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert s * a + t * b == g
+    for bits in (20, 500):
+        for _ in range(300):
+            a = rng.randrange(-(2**bits), 2**bits) >> rng.randrange(bits)
+            b = rng.randrange(-(2**bits), 2**bits) >> rng.randrange(bits)
+            g, s, t = ext_gcd(a, b)
+            assert g == math.gcd(a, b)
+            assert s * a + t * b == g
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (0, 0), (0, 7), (7, 0), (0, -7), (-7, 0),
+        (1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, -1),
+        (12, 12), (12, -12), (-12, 12), (-12, -12),
+        (12, -18), (-12, 18), (-12, -18), (18, 12),
+        (2**500 + 1, 3**315), (-(2**500) + 3, 2**499 - 1), (2**500 * 3, -(2**500) * 5),
+    ],
+)
+def test_ext_gcd_edges(a, b):
+    # callers rely only on this identity, not on which Bezout pair comes back
+    g, s, t = ext_gcd(a, b)
+    assert g == math.gcd(a, b)
+    assert s * a + t * b == g
 
 
 def test_small_primes():
